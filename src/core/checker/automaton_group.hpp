@@ -152,28 +152,6 @@ class AutomatonGroup
     AutomatonGroup cloneAs(GroupId new_id) const;
 
     /**
-     * Rewrite every id this group carries (seer-swarm consolidation
-     * and split, DESIGN.md §14). `gid_map` is applied to the group's
-     * own id and to all lineage links — including links to groups
-     * that were already erased, which is why the sharded merge keeps
-     * tombstoned id mappings: a stale parent link must renumber
-     * exactly like a live one. `rival_map` covers the ambiguity-set
-     * id. Zero (the "none" sentinel) is never mapped.
-     */
-    template <typename GidFn, typename RivalFn>
-    void
-    renumberIds(const GidFn &gid_map, const RivalFn &rival_map)
-    {
-        groupId = gid_map(groupId);
-        if (parentId != 0)
-            parentId = gid_map(parentId);
-        for (GroupId &child : childIds)
-            child = gid_map(child);
-        if (rivalSetId != 0)
-            rivalSetId = rival_map(rivalSetId);
-    }
-
-    /**
      * Serialise the group (seer-vault, DESIGN.md §13). Each candidate
      * is written as an index into `automata` plus the instance's
      * mutable state; the signature cache is recomputed lazily after

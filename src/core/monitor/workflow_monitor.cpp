@@ -45,7 +45,8 @@ WorkflowMonitor::WorkflowMonitor(
     std::vector<TaskAutomaton> automata)
     : config(config_),
       catalogPtr(std::move(catalog)),
-      specs(std::move(automata))
+      specs(std::move(automata)),
+      checker(config.checker, pointersTo(specs))
 {
     CS_ASSERT(catalogPtr != nullptr, "monitor needs a catalog");
     timeoutPolicy.defaultTimeout = config.timeoutSeconds;
@@ -62,34 +63,12 @@ WorkflowMonitor::WorkflowMonitor(
         }
     }
 
-    // Engine selection (seer-swarm, DESIGN.md §14). Sharding needs the
-    // routing index (the shard key is derived from it) and is pointless
-    // under tracing (per-message spans would serialise the shards
-    // anyway), so those configurations silently fall back to serial —
-    // the two engines are bit-identical, only throughput differs.
-    const bool sharded = config.ingest.numShards > 1 &&
-                         config.checker.identifierRouting &&
-                         !config.observability.tracing;
-    if (sharded) {
-        ShardedCheckerConfig swarm;
-        swarm.numShards = config.ingest.numShards;
-        swarm.ringCapacity = config.ingest.shardRingCapacity;
-        auto owned = std::make_unique<ShardedChecker>(
-            config.checker, pointersTo(specs), swarm);
-        swarmEngine = owned.get();
-        enginePtr = std::move(owned);
-        swarmEngine->setTimeoutPolicy(timeoutPolicy);
-    } else {
-        enginePtr = std::make_unique<InterleavedChecker>(
-            config.checker, pointersTo(specs));
-    }
-
     // seer-scope: only instantiated when some sink is on; the null
     // sink is a null pointer, not a disabled object.
     if (config.observability.enabled()) {
         obsPtr =
             std::make_unique<obs::Observability>(config.observability);
-        engine().setTracer(obsPtr->tracer());
+        checker.setTracer(obsPtr->tracer());
     }
 
     // seer-vault: cap the process-wide interner when asked. Only a
@@ -103,8 +82,8 @@ WorkflowMonitor::WorkflowMonitor(
     // seer-flight: install the latency criterion when profiles ship
     // with the model. Tasks without a sampled profile stay exempt.
     if (!config.latencyProfiles.empty())
-        engine().setLatencyPolicy(config.latencyProfiles,
-                                  config.latencyCheck);
+        checker.setLatencyPolicy(config.latencyProfiles,
+                                 config.latencyCheck);
 
     // Load-time model verification (seer-lint): a structurally broken
     // specification produces confidently wrong reports for as long as
@@ -132,7 +111,7 @@ WorkflowMonitor::WorkflowMonitor(
     loadReport.merge(std::move(interference.report));
     loadReport.sortStable();
     if (config.proveFastPath) {
-        engine().setCertifiedTemplates(
+        checker.setCertifiedTemplates(
             interference.certificate.certifiedBits(catalogPtr->size()));
     }
 
@@ -154,9 +133,7 @@ WorkflowMonitor::WorkflowMonitor(
     if (obsPtr != nullptr) {
         std::ostringstream fp;
         fp << std::hex << modelFingerprint();
-        obsPtr->setBuildInfo(
-            common::kVersion, fp.str(),
-            swarmEngine == nullptr ? 0 : config.ingest.numShards);
+        obsPtr->setBuildInfo(common::kVersion, fp.str());
     }
     if (config.pulse.enabled) {
         pulsePtr = std::make_unique<obs::PulseEngine>(config.pulse);
@@ -183,8 +160,6 @@ WorkflowMonitor::WorkflowMonitor(
                 "seer_stage_verdict_us",
                 "sampled verdict+shedding stage latency, microseconds",
                 -1, 6);
-            if (swarmEngine != nullptr)
-                swarmEngine->enableStageTimers(stageEvery);
         }
         if (config.pulse.httpPort >= 0) {
             pulseServer = std::make_unique<obs::TelemetryServer>(
@@ -392,9 +367,8 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
     // byte-identical lines, so the key is everything the checker would
     // see — keyed on the *original* stamp so a clamped re-delivery
     // still matches its first delivery. The verdict is computed before
-    // the engine runs (serial sweeps happen even for records that end
-    // up suppressed, so the sharded path must know whether to ship a
-    // sweep-only tick or a full step).
+    // the checker runs (the timeout sweep happens even for records that
+    // end up suppressed).
     bool suppressed = false;
     if (config.ingest.dedupWindowSeconds > 0.0) {
         obs::StageScope profScope(obs::ProfStage::Route);
@@ -439,36 +413,15 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
 
     {
         obs::StageScope profScope(obs::ProfStage::Check);
-        if (swarmEngine != nullptr) {
-            // seer-swarm: one pipelined step — every shard sweeps at
-            // `now` (the serial engine sweeps all groups before each
-            // feed), the owner feeds, and flush() reassembles the
-            // events in serial order (sweeps first, then the feed).
-            // The per-record barrier keeps the cap/memory criteria and
-            // checkpoints exact; the parallel win is the sweep and the
-            // consume work, not ingest pipelining (bench_throughput
-            // drives submitFeed for that).
-            if (suppressed)
-                swarmEngine->submitSweep(now);
-            else
-                swarmEngine->submitStep(message, now);
-            stepEvents.clear();
-            swarmEngine->flush(stepEvents);
-            for (CheckEvent &event : stepEvents)
+        for (CheckEvent &event : checker.sweepTimeouts(
+                 now, [this](const std::vector<std::string> &tasks) {
+                     return timeoutPolicy.timeoutForCandidates(tasks);
+                 })) {
+            reports.push_back({std::move(event), false});
+        }
+        if (!suppressed) {
+            for (CheckEvent &event : checker.feed(message))
                 reports.push_back({std::move(event), false});
-        } else {
-            for (CheckEvent &event : engine().sweepTimeouts(
-                     now,
-                     [this](const std::vector<std::string> &tasks) {
-                         return timeoutPolicy.timeoutForCandidates(
-                             tasks);
-                     })) {
-                reports.push_back({std::move(event), false});
-            }
-            if (!suppressed) {
-                for (CheckEvent &event : engine().feed(message))
-                    reports.push_back({std::move(event), false});
-            }
         }
     }
     if (staged) {
@@ -483,8 +436,8 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
         obs::StageScope profScope(obs::ProfStage::Verdict);
         // Group-cap shedding: bound live state, loudly.
         if (config.ingest.maxActiveGroups > 0 &&
-            engine().activeGroups() > config.ingest.maxActiveGroups) {
-            for (CheckEvent &event : engine().shedToCap(
+            checker.activeGroups() > config.ingest.maxActiveGroups) {
+            for (CheckEvent &event : checker.shedToCap(
                      config.ingest.maxActiveGroups, now)) {
                 ++ingest.groupsShed;
                 reports.push_back({std::move(event), false});
@@ -499,7 +452,7 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
             std::uint64_t interval = std::max<std::uint64_t>(
                 1, config.ingest.memoryCheckInterval);
             if (ingest.recordsDelivered % interval == 0) {
-                for (CheckEvent &event : engine().shedToMemory(
+                for (CheckEvent &event : checker.shedToMemory(
                          config.ingest.maxResidentBytes, now)) {
                     ++ingest.memoryEvictions;
                     reports.push_back({std::move(event), false});
@@ -588,13 +541,13 @@ WorkflowMonitor::finish()
     for (const auto &[task, value] : timeoutPolicy.perTask)
         max_timeout = std::max(max_timeout, value);
     common::SimTime horizon = lastTimestamp + max_timeout * 1.001;
-    for (CheckEvent &event : engine().sweepTimeouts(
+    for (CheckEvent &event : checker.sweepTimeouts(
              horizon, [this](const std::vector<std::string> &tasks) {
                  return timeoutPolicy.timeoutForCandidates(tasks);
              })) {
         reports.push_back({std::move(event), true});
     }
-    for (CheckEvent &event : engine().finish(horizon))
+    for (CheckEvent &event : checker.finish(horizon))
         reports.push_back({std::move(event), true});
     captureBundles(reports);
 
@@ -611,7 +564,7 @@ WorkflowMonitor::finish()
 std::vector<TaskAutomaton>
 WorkflowMonitor::refinedAutomata(int min_removals) const
 {
-    return refineFromRemovals(specs, engine().dependencyRemovals(),
+    return refineFromRemovals(specs, checker.dependencyRemovals(),
                               min_removals);
 }
 
@@ -621,7 +574,7 @@ WorkflowMonitor::healthSample() const
     obs::HealthSample s;
     s.time = lastTimestamp;
 
-    const CheckerStats &c = engine().stats();
+    const CheckerStats &c = checker.stats();
     s.messages = c.messages;
     s.decisive = c.decisive;
     s.ambiguous = c.ambiguous;
@@ -638,8 +591,8 @@ WorkflowMonitor::healthSample() const
     s.consumeAttempts = c.consumeAttempts;
     s.decisiveFraction = c.decisiveFraction();
 
-    s.activeGroups = engine().activeGroups();
-    s.activeIdentifierSets = engine().activeIdentifierSets();
+    s.activeGroups = checker.activeGroups();
+    s.activeIdentifierSets = checker.activeIdentifierSets();
 
     s.linesSeen = ingest.linesSeen;
     s.recordsDelivered = ingest.recordsDelivered;
@@ -657,42 +610,8 @@ WorkflowMonitor::healthSample() const
     s.internerMisses = interner.misses;
     s.internerCapRejected = interner.capRejected;
 
-    // Sharded sweeps resolve against per-shard policy copies; the
-    // monitor's own policy only sees the finish()-time horizon sweep
-    // (and checkpoint-restored history), so the totals are the sum.
     s.timeoutResolutions = timeoutPolicy.resolutions;
     s.timeoutDefaultFallbacks = timeoutPolicy.defaultFallbacks;
-    if (swarmEngine != nullptr) {
-        auto [res, fb] = swarmEngine->timeoutResolutionCounts();
-        s.timeoutResolutions += res;
-        s.timeoutDefaultFallbacks += fb;
-    }
-
-    if (swarmEngine != nullptr) {
-        // Exact: the monitor flushes the pipeline every record, so
-        // the merge-side counters are not mid-flight samples here.
-        const ShardMetrics &m = swarmEngine->metrics();
-        s.shardLanes.reserve(m.shards.size());
-        for (std::size_t i = 0; i < m.shards.size(); ++i) {
-            const ShardMetrics::PerShard &lane = m.shards[i];
-            obs::HealthSample::ShardLane out;
-            out.routed = lane.messagesRouted;
-            out.inputPeak = lane.inputRingPeak;
-            out.outputPeak = lane.outputRingPeak;
-            out.activeGroups = lane.activeGroups;
-            if (const obs::Histogram *check =
-                    swarmEngine->shardCheckLatency(i)) {
-                out.checkP50us = check->percentile(50.0);
-                out.checkP99us = check->percentile(99.0);
-            }
-            s.shardLanes.push_back(out);
-        }
-        s.shardReconcilerHits = m.reconcilerHits;
-        s.shardCrossUnions = m.crossShardUnions;
-        s.shardGlobalFallbacks = m.globalFallbacks;
-        s.shardQuiesces = m.quiesces;
-        s.shardImbalance = m.imbalance();
-    }
 
     if (obsPtr != nullptr && obsPtr->feedLatency() != nullptr) {
         const obs::Histogram &latency = *obsPtr->feedLatency();
@@ -801,7 +720,7 @@ WorkflowMonitor::buildzJson() const
         return std::string();
     return obs::buildInfoJson(
         obsPtr->buildVersion(), obsPtr->modelFingerprint(),
-        obsPtr->shardCount(), obsPtr->uptimeSeconds());
+        obsPtr->uptimeSeconds());
 }
 
 void
@@ -918,21 +837,8 @@ WorkflowMonitor::saveState(common::BinWriter &out) const
         out.writeString(key);
     }
 
-    // Sharded resolution tallies live in per-shard policy copies; fold
-    // them in (and back out) so the serialised policy carries the same
-    // totals a serial monitor would — checkpoints stay interchangeable
-    // between engines.
-    if (swarmEngine != nullptr) {
-        auto [res, fb] = swarmEngine->timeoutResolutionCounts();
-        timeoutPolicy.resolutions += res;
-        timeoutPolicy.defaultFallbacks += fb;
-        timeoutPolicy.saveState(out);
-        timeoutPolicy.resolutions -= res;
-        timeoutPolicy.defaultFallbacks -= fb;
-    } else {
-        timeoutPolicy.saveState(out);
-    }
-    enginePtr->saveState(out);
+    timeoutPolicy.saveState(out);
+    checker.saveState(out);
 
     out.writeBool(obsPtr != nullptr);
     if (obsPtr != nullptr)
@@ -1005,7 +911,7 @@ WorkflowMonitor::restoreState(common::BinReader &in)
 
     if (!timeoutPolicy.restoreState(in))
         return false;
-    if (!engine().restoreState(in))
+    if (!checker.restoreState(in))
         return false;
 
     bool has_obs = in.readBool();

@@ -26,7 +26,6 @@
 
 #include "analysis/diagnostics.hpp"
 #include "core/checker/interleaved_checker.hpp"
-#include "core/checker/sharded_checker.hpp"
 #include "core/monitor/report.hpp"
 #include "core/monitor/timeout_estimator.hpp"
 #include "logging/log_codec.hpp"
@@ -116,19 +115,6 @@ struct IngestConfig
      * the default — leaves the interner untouched and bit-identical.
      */
     std::size_t maxInternerEntries = 0;
-
-    /**
-     * Checking engine selection (seer-swarm, DESIGN.md §14): 0 or 1
-     * keeps the serial reference engine; N > 1 deploys the sharded
-     * engine with N worker shards. Reports are bit-identical either
-     * way — sharding is a throughput decision, not a semantic one.
-     * Execution tracing pins the engine to serial (a span's identity
-     * is engine-internal); the monitor falls back silently.
-     */
-    std::size_t numShards = 0;
-
-    /** Capacity of each shard's SPSC rings (sharded engine only). */
-    std::size_t shardRingCapacity = 512;
 };
 
 /** Hardened-profile defaults (all guards on, moderate settings). */
@@ -293,17 +279,7 @@ class WorkflowMonitor
     std::vector<MonitorReport> finish();
 
     /** Checker counters. */
-    const CheckerStats &stats() const { return engine().stats(); }
-
-    /** The checking engine behind the monitor ("serial"/"sharded"). */
-    const char *engineName() const { return engine().engineName(); }
-
-    /** Shard/ring/reconciler counters; nullptr on the serial engine. */
-    const ShardMetrics *shardMetrics() const
-    {
-        return swarmEngine == nullptr ? nullptr
-                                      : &swarmEngine->metrics();
-    }
+    const CheckerStats &stats() const { return checker.stats(); }
 
     /** Ingest-pipeline counters. */
     const IngestStats &ingestStats() const { return ingest; }
@@ -318,12 +294,12 @@ class WorkflowMonitor
     common::SimTime lastTime() const { return lastTimestamp; }
 
     /** Groups currently in flight. */
-    std::size_t activeGroups() const { return engine().activeGroups(); }
+    std::size_t activeGroups() const { return checker.activeGroups(); }
 
     /** Identifier sets currently tracked. */
     std::size_t activeIdentifierSets() const
     {
-        return engine().activeIdentifierSets();
+        return checker.activeIdentifierSets();
     }
 
     /** The shared template catalog. */
@@ -347,7 +323,7 @@ class WorkflowMonitor
     /** Dependency-removal tallies from recovery (d). */
     const RemovalCounts &dependencyRemovals() const
     {
-        return engine().dependencyRemovals();
+        return checker.dependencyRemovals();
     }
 
     /** The load-time seer-lint report over the model bundle (always
@@ -479,7 +455,7 @@ class WorkflowMonitor
     /**
      * Serialise the full mutable monitor state: clock, ingest
      * counters, quarantine, reorder buffer, dedup window, timeout
-     * policy, checker engine, and (when configured) observability.
+     * policy, checker, and (when configured) observability.
      * Config, catalog, and automata are construction inputs and are
      * the caller's to re-supply; the process-wide interner is
      * snapshotted separately by the vault (it outlives any monitor).
@@ -510,14 +486,8 @@ class WorkflowMonitor
     logging::VariableExtractor extractor;
     analysis::LintReport loadReport;
 
-    /** The checking engine (serial or sharded per IngestConfig). */
-    std::unique_ptr<BaseChecker> enginePtr;
-
-    /** Non-null iff enginePtr is the sharded engine (fast probe). */
-    ShardedChecker *swarmEngine = nullptr;
-
-    BaseChecker &engine() { return *enginePtr; }
-    const BaseChecker &engine() const { return *enginePtr; }
+    /** Algorithm 2 over the automata in `specs` (declared after it). */
+    InterleavedChecker checker;
 
     std::unique_ptr<obs::Observability> obsPtr; ///< null = null sink
 
@@ -550,9 +520,6 @@ class WorkflowMonitor
     // Dedup state: key -> newest message time, plus an expiry queue.
     std::unordered_map<std::string, common::SimTime> recentKeys;
     std::deque<std::pair<common::SimTime, std::string>> recentOrder;
-
-    /** Scratch for the sharded per-record flush (avoids reallocating). */
-    std::vector<CheckEvent> stepEvents;
 
     /** Scratch for flight-recorder line encoding (reused per record). */
     std::string flightScratch;

@@ -128,25 +128,6 @@ struct HealthSample
     double walAppendP50us = 0.0;
     double walAppendP99us = 0.0;
 
-    /** One sharded-engine worker lane (seer-swarm, DESIGN.md §14). */
-    struct ShardLane
-    {
-        std::uint64_t routed = 0;       ///< messages homed here
-        std::uint64_t inputPeak = 0;    ///< deepest input ring seen
-        std::uint64_t outputPeak = 0;   ///< deepest output ring seen
-        std::uint64_t activeGroups = 0; ///< live groups on this shard
-        double checkP50us = 0.0; ///< sampled check-stage latency
-        double checkP99us = 0.0; ///< (zero unless stage timers on)
-    };
-
-    // Sharded engine (seer-swarm); all zero / empty on serial.
-    std::vector<ShardLane> shardLanes;
-    std::uint64_t shardReconcilerHits = 0;
-    std::uint64_t shardCrossUnions = 0;
-    std::uint64_t shardGlobalFallbacks = 0;
-    std::uint64_t shardQuiesces = 0;
-    double shardImbalance = 0.0;
-
     /** Single-line JSON rendering ({"kind":"HEALTH",...}). */
     std::string toJson() const;
 
@@ -193,16 +174,14 @@ class Observability
 
     /**
      * Identify this build in exposition (seer_build_info,
-     * seer_shard_count, seer_uptime_seconds and the /buildz payload —
-     * seer-pulse, DESIGN.md §16). Uptime counts from construction.
+     * seer_uptime_seconds and the /buildz payload — seer-pulse,
+     * DESIGN.md §16). Uptime counts from construction.
      */
     void setBuildInfo(const std::string &version,
-                      const std::string &model_fingerprint,
-                      std::size_t shard_count);
+                      const std::string &model_fingerprint);
 
     const std::string &buildVersion() const { return version; }
     const std::string &modelFingerprint() const { return fingerprint; }
-    std::size_t shardCount() const { return shards; }
 
     /** Wall-clock seconds since this facade was constructed. */
     double uptimeSeconds() const;
@@ -257,7 +236,6 @@ class Observability
     bool anySnapshot = false;
     std::string version;
     std::string fingerprint;
-    std::size_t shards = 0;
     std::chrono::steady_clock::time_point startedAt;
 
     void updateRegistry(const HealthSample &sample);

@@ -8,7 +8,7 @@
  * interrupted thread's stack (common/stackcapture) into a fixed
  * preallocated sample ring, tagging each sample with the pipeline
  * stage the thread was executing — sink → parse → route → check →
- * verdict, per-shard check lanes, and the WAL append — via cheap
+ * verdict, and the WAL append — via cheap
  * `StageScope` RAII markers that write one thread-local word. Nothing
  * in the handler allocates, locks, or formats; symbolisation happens
  * at `collect()` time only.
@@ -46,22 +46,20 @@ enum class ProfStage : std::uint8_t {
     Sink,       ///< ingest arrival (decode, flight capture, buffering)
     Parse,      ///< template match + identifier extraction/interning
     Route,      ///< clock guard, dedup, routing-index selection
-    Check,      ///< Algorithm 2 step (serial engine)
+    Check,      ///< Algorithm 2 step
     Verdict,    ///< shedding, report assembly, snapshot publishing
-    ShardCheck, ///< sharded worker check lane (shard id in the tag)
     WalAppend,  ///< seer-vault write-ahead ledger append
 };
 
-inline constexpr int kProfStageCount = 8;
+inline constexpr int kProfStageCount = 7;
 
 /** Stable lower-case stage name ("untagged", "sink", ...). */
 const char *profStageName(ProfStage stage);
 
 namespace detail {
-/** The active stage tag for this thread: stage in the low byte, shard
- *  index in the next. `volatile` because the SIGPROF handler reads it
- *  between any two instructions of the same thread; no atomicity is
- *  needed for a single-thread-written word. */
+/** The active stage tag for this thread. `volatile` because the
+ *  SIGPROF handler reads it between any two instructions of the same
+ *  thread; no atomicity is needed for a single-thread-written word. */
 extern thread_local volatile std::uint32_t tlsStageWord;
 } // namespace detail
 
@@ -73,12 +71,10 @@ extern thread_local volatile std::uint32_t tlsStageWord;
 class StageScope
 {
 public:
-    explicit StageScope(ProfStage stage, unsigned shard = 0) noexcept
+    explicit StageScope(ProfStage stage) noexcept
         : saved_(detail::tlsStageWord)
     {
-        detail::tlsStageWord =
-            static_cast<std::uint32_t>(stage) |
-            ((static_cast<std::uint32_t>(shard) & 0xffu) << 8);
+        detail::tlsStageWord = static_cast<std::uint32_t>(stage);
     }
     ~StageScope() { detail::tlsStageWord = saved_; }
     StageScope(const StageScope &) = delete;
@@ -88,25 +84,12 @@ private:
     std::uint32_t saved_;
 };
 
-/** The calling thread's active stage tag (for scopes that defer to
- *  an enclosing lane, e.g. the serial check inside a shard worker). */
+/** The calling thread's active stage tag. */
 inline ProfStage
 currentProfStage() noexcept
 {
-    return static_cast<ProfStage>(detail::tlsStageWord & 0xffu);
+    return static_cast<ProfStage>(detail::tlsStageWord);
 }
-
-/** The shard index of the calling thread's active tag. */
-inline unsigned
-currentProfShard() noexcept
-{
-    return (detail::tlsStageWord >> 8) & 0xffu;
-}
-
-/** Cache the calling thread's stack bounds for in-handler capture.
- *  Worker threads (shards) call this once at startup; threads that
- *  skip it still sample via the unwinder fallback. */
-void prepareThreadForProfiling();
 
 struct ProfilerConfig
 {
@@ -120,7 +103,6 @@ struct ProfilerConfig
 struct ProfileStack
 {
     ProfStage stage = ProfStage::None;
-    unsigned shard = 0;
     std::uint64_t count = 0;
     std::vector<std::string> frames; ///< root first, leaf last
 };

@@ -20,12 +20,11 @@
  *    mutex; scrape handlers copy the latest published string and
  *    never touch checker state.
  *
- * The default rule pack uses only engine-invariant signals (counters
- * the serial and sharded engines produce bit-identically, measured on
- * the message clock), so serial and sharded runs of one stream emit
- * identical ALERT records. Wall-clock signals (feed latency, WAL
- * append latency) are available to user rule files but excluded from
- * the deterministic defaults.
+ * The default rule pack uses only message-clock counters, so every run
+ * of one stream — instrumented or bare, uninterrupted or restored from
+ * a checkpoint — emits identical ALERT records. Wall-clock signals
+ * (feed latency, WAL append latency) are available to user rule files
+ * but excluded from the deterministic defaults.
  */
 
 #ifndef CLOUDSEER_OBS_PULSE_HPP
@@ -283,10 +282,9 @@ class PulseEngine
     std::ofstream alertLog; // open iff cfg.alertLogPath non-empty
 };
 
-/** Rendered /buildz body (version, model, shards, uptime). */
+/** Rendered /buildz body (version, model, uptime). */
 std::string buildInfoJson(const std::string &version,
                           const std::string &model_fingerprint,
-                          std::size_t shard_count,
                           double uptime_seconds);
 
 /**

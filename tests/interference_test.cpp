@@ -535,8 +535,7 @@ TEST(SeerProveFastPath, MonitorDifferentialOnPerturbedStreams)
 {
     // The monitor-level property across perturbation seeds: a monitor
     // with the fast path armed (the default) is indistinguishable
-    // from one with it off, on hostile wire streams, serial and
-    // sharded engines alike.
+    // from one with it off, on hostile wire streams.
     const eval::ModeledSystem &system = models();
     for (std::uint64_t seed : {11ull, 2024ull}) {
         eval::DatasetConfig dataset_config;
@@ -557,8 +556,6 @@ TEST(SeerProveFastPath, MonitorDifferentialOnPerturbedStreams)
 
         MonitorConfig proved;
         proved.ingest = hardenedIngestDefaults();
-        proved.ingest.numShards = (seed % 2 == 0) ? 3 : 0;
-        proved.ingest.shardRingCapacity = 16;
         ASSERT_TRUE(proved.proveFastPath) << "fast path must default on";
         MonitorConfig reference = proved;
         reference.proveFastPath = false;

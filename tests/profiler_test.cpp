@@ -68,12 +68,10 @@ TEST(StageScopeTest, NestsInnermostWinsAndRestores)
         StageScope outer(ProfStage::Sink);
         EXPECT_EQ(currentProfStage(), ProfStage::Sink);
         {
-            StageScope inner(ProfStage::ShardCheck, 3);
-            EXPECT_EQ(currentProfStage(), ProfStage::ShardCheck);
-            EXPECT_EQ(currentProfShard(), 3u);
+            StageScope inner(ProfStage::Check);
+            EXPECT_EQ(currentProfStage(), ProfStage::Check);
         }
         EXPECT_EQ(currentProfStage(), ProfStage::Sink);
-        EXPECT_EQ(currentProfShard(), 0u);
     }
     EXPECT_EQ(currentProfStage(), ProfStage::None);
 }
@@ -86,7 +84,6 @@ TEST(StageScopeTest, StageNamesAreStable)
     EXPECT_STREQ(profStageName(ProfStage::Route), "route");
     EXPECT_STREQ(profStageName(ProfStage::Check), "check");
     EXPECT_STREQ(profStageName(ProfStage::Verdict), "verdict");
-    EXPECT_STREQ(profStageName(ProfStage::ShardCheck), "shard_check");
     EXPECT_STREQ(profStageName(ProfStage::WalAppend), "wal_append");
 }
 
@@ -289,7 +286,6 @@ TEST(ProfilerTest, SamplesBusyLoopUnderItsStageTag)
     ASSERT_EQ(parsed.stacks.size(), profile.stacks.size());
     for (std::size_t i = 0; i < parsed.stacks.size(); ++i) {
         EXPECT_EQ(parsed.stacks[i].stage, profile.stacks[i].stage);
-        EXPECT_EQ(parsed.stacks[i].shard, profile.stacks[i].shard);
         EXPECT_EQ(parsed.stacks[i].count, profile.stacks[i].count);
         EXPECT_EQ(parsed.stacks[i].frames, profile.stacks[i].frames);
     }

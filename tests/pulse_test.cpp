@@ -4,9 +4,9 @@
  * rolling-window rate engine, the pending → firing → resolved alert
  * lifecycle (hysteresis band and min-hold included), the rules-file
  * parser, the scrape endpoint end-to-end over real HTTP, and the
- * serial-vs-sharded ALERT differential that pins the message-clock
- * determinism claim — one stream, two engines, byte-identical alert
- * records.
+ * traced-vs-untraced ALERT differential that pins the message-clock
+ * determinism claim — one stream, extra instruments on one side,
+ * byte-identical alert records.
  */
 
 #include <gtest/gtest.h>
@@ -313,7 +313,7 @@ TEST(PulseSignalTest, NamesRoundTripAndClassify)
     EXPECT_TRUE(pulseSignalIsWallClock(PulseSignal::FeedP99Us));
     EXPECT_FALSE(pulseSignalIsWallClock(PulseSignal::ShedRate));
     // The deterministic default pack never touches wall-clock
-    // signals — that is what makes serial/sharded alerts identical.
+    // signals — that is what makes alerts identical across runs.
     for (const AlertRule &rule : defaultAlertRules())
         EXPECT_FALSE(pulseSignalIsWallClock(rule.signal))
             << rule.name;
@@ -584,15 +584,17 @@ TEST_F(PulseMonitorTest, ScrapeEndpointServesLiveMonitorState)
     EXPECT_NE(body.find("\"modelFingerprint\""), std::string::npos);
 }
 
-// --- serial vs sharded ALERT differential -----------------------------
+// --- traced vs untraced ALERT differential ----------------------------
 
-TEST_F(PulseMonitorTest, SerialAndShardedEmitIdenticalAlertRecords)
+TEST_F(PulseMonitorTest, TracingAndFlightLeaveAlertRecordsIdentical)
 {
-    auto run = [&](std::size_t shards) {
+    auto run = [&](bool instrumented) {
         core::MonitorConfig config;
         config.timeoutSeconds = 5.0;
         config.ingest.maxActiveGroups = 4;
-        config.ingest.numShards = shards;
+        config.observability.tracing = instrumented;
+        config.observability.flightRecorder.perNodeCapacity =
+            instrumented ? 16 : 0;
         config.pulse.enabled = true;
         config.pulse.windowSeconds = 6.0;
         core::WorkflowMonitor monitor(config, catalog, pingPong());
@@ -615,8 +617,8 @@ TEST_F(PulseMonitorTest, SerialAndShardedEmitIdenticalAlertRecords)
         return alerts;
     };
 
-    std::vector<std::string> serial = run(0);
-    std::vector<std::string> sharded = run(2);
-    ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(serial, sharded);
+    std::vector<std::string> bare = run(false);
+    std::vector<std::string> instrumented = run(true);
+    ASSERT_FALSE(bare.empty());
+    EXPECT_EQ(bare, instrumented);
 }

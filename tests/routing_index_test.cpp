@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -82,6 +83,44 @@ TEST(IdentifierInterner, ProcessInstanceIsShared)
     EXPECT_EQ(&a, &b);
     logging::IdToken token = a.intern("routing-index-test-shared");
     EXPECT_EQ(b.find("routing-index-test-shared"), token);
+}
+
+TEST(IdentifierInterner, ConcurrentInternsAgreeOnTokens)
+{
+    // The interner is the one structure several threads share (the
+    // monitor's ingest thread and the pulse scrape thread reading
+    // stats); its mutex is what the ThreadSanitizer job exercises.
+    logging::IdentifierInterner interner;
+    constexpr int kThreads = 4;
+    constexpr int kValues = 500;
+    std::vector<std::vector<logging::IdToken>> seen(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&interner, &seen, t] {
+            for (int i = 0; i < kValues; ++i) {
+                // Threads walk the shared values in different orders.
+                int v = (i * (2 * t + 1)) % kValues;
+                seen[t].push_back(
+                    interner.intern("id-" + std::to_string(v)));
+                (void)interner.stats();
+            }
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+
+    EXPECT_EQ(interner.size(), static_cast<std::size_t>(kValues));
+    for (int t = 0; t < kThreads; ++t) {
+        for (int i = 0; i < kValues; ++i) {
+            int v = (i * (2 * t + 1)) % kValues;
+            EXPECT_EQ(seen[t][i],
+                      interner.find("id-" + std::to_string(v)));
+        }
+    }
+    logging::InternerStats stats = interner.stats();
+    EXPECT_EQ(stats.misses, static_cast<std::uint64_t>(kValues));
+    EXPECT_EQ(stats.hits,
+              static_cast<std::uint64_t>(kValues * (kThreads - 1)));
 }
 
 // --- posting-list maintenance ------------------------------------------

@@ -205,68 +205,6 @@ TEST(PostmortemTool, IntactInputStillExitsZero)
 
 // --- seer_stats -----------------------------------------------------
 
-TEST(StatsTool, ShardsViewRendersShardedHealthSamples)
-{
-    // The genuine producer: a sharded monitor's health sample, with
-    // two identifier-disjoint executions routed across two shards.
-    auto catalog = std::make_shared<logging::TemplateCatalog>();
-    logging::TemplateId solo = catalog->intern("svc", "solo <uuid>");
-    std::vector<TaskAutomaton> automata;
-    automata.emplace_back("solo",
-                          std::vector<EventNode>{{solo, 0}},
-                          std::vector<DependencyEdge>{});
-    MonitorConfig config;
-    config.ingest.numShards = 2;
-    WorkflowMonitor monitor(config, catalog, std::move(automata));
-    ASSERT_STREQ(monitor.engineName(), "sharded");
-
-    logging::RecordId next = 1;
-    for (const char *uuid :
-         {"44444444-4444-4444-4444-444444444444",
-          "55555555-5555-5555-5555-555555555555"}) {
-        logging::LogRecord record;
-        record.id = next;
-        record.timestamp = static_cast<double>(next++);
-        record.node = "n";
-        record.service = "svc";
-        record.body = std::string("solo ") + uuid;
-        monitor.feed(record);
-    }
-
-    ToolDir dir("stats_shards");
-    std::string path = dir.file("health.jsonl");
-    std::ofstream(path) << monitor.healthSample().toJson() << "\n";
-
-    RunResult result =
-        run(std::string(SEER_STATS_BIN) + " --shards " + path);
-    EXPECT_EQ(result.status, 0) << result.output;
-    EXPECT_NE(result.output.find("sharded engine"), std::string::npos)
-        << result.output;
-    // One row per shard, both lanes carrying traffic.
-    EXPECT_NE(result.output.find("reconciler"), std::string::npos)
-        << result.output;
-    for (const char *needle : {" 0 ", " 1 "})
-        EXPECT_NE(result.output.find(needle), std::string::npos)
-            << "missing shard row " << needle << "\n"
-            << result.output;
-
-    // A serial sample (no shards section) is refused with a
-    // diagnostic, not rendered as an empty table.
-    MonitorConfig serial_config;
-    std::vector<TaskAutomaton> serial_automata;
-    serial_automata.emplace_back(
-        "solo", std::vector<EventNode>{{solo, 0}},
-        std::vector<DependencyEdge>{});
-    WorkflowMonitor serial_monitor(serial_config, catalog,
-                                   std::move(serial_automata));
-    std::string serial_path = dir.file("serial.jsonl");
-    std::ofstream(serial_path)
-        << serial_monitor.healthSample().toJson() << "\n";
-    RunResult refused =
-        run(std::string(SEER_STATS_BIN) + " --shards " + serial_path);
-    EXPECT_NE(refused.status, 0) << refused.output;
-}
-
 // --- seer_vault -----------------------------------------------------
 
 TEST(VaultTool, VerifyAcceptsSoundVaultAndRejectsTornOne)
@@ -736,11 +674,10 @@ benchJson(double indexed_mps, double prove_speedup,
         << "    {\"inflight\": 10, \"messages\": 4000,\n"
         << "     \"indexed\": {\"mps\": " << indexed_mps
         << ", \"p50_us\": 0.5, \"p99_us\": 1.2},\n"
-        << "     \"obs_overhead\": " << obs_overhead << ",\n";
+        << "     \"obs_overhead\": " << obs_overhead;
     if (with_speedup)
-        out << "     \"prove_speedup\": " << prove_speedup << ",\n";
-    out << "     \"sharded\": [{\"threads\": 2, \"mps\": "
-        << indexed_mps * 0.9 << "}]}\n  ]\n}\n";
+        out << ",\n     \"prove_speedup\": " << prove_speedup;
+    out << "}\n  ]\n}\n";
     return out.str();
 }
 

@@ -9,10 +9,10 @@
  *                     [--ratios-only] [--json]
  *
  * Metric classes and their bands:
- *   - throughput ("indexed.mps", "*_base_mps", "sharded.N.mps", ...):
+ *   - throughput ("indexed.mps", "*_base_mps", ...):
  *     higher is better; regressed when fresh < base * (1 - tolerance)
  *     (default 0.10 — a 20% drop always trips it).
- *   - speedups ("speedup", "sharded_scaling", "prove_speedup"):
+ *   - speedups ("speedup", "prove_speedup"):
  *     higher is better, same relative band — these are
  *     machine-independent ratios, so they survive hardware changes.
  *   - overheads ("*_overhead"): lower is better; regressed when
@@ -68,8 +68,7 @@ classify(const std::string &name)
     };
     if (ends_with("_overhead"))
         return MetricClass::Overhead;
-    if (name == "speedup" || name == "sharded_scaling" ||
-        name == "prove_speedup")
+    if (name == "speedup" || name == "prove_speedup")
         return MetricClass::Ratio;
     if (name == "profile_tagged_fraction")
         return MetricClass::TaggedFloor;
@@ -82,8 +81,7 @@ classify(const std::string &name)
  * Pull the gated metrics out of one BENCH_throughput.json. Not a
  * general JSON parser — just enough for the document this repo's
  * bench writes: per level, the path objects' "mps" fields become
- * "<path>.mps", the "sharded" array becomes "sharded.<threads>.mps",
- * and bare numeric fields keep their key.
+ * "<path>.mps" and bare numeric fields keep their key.
  */
 bool
 parseBench(const std::string &path, BenchMetrics &out)
@@ -126,8 +124,7 @@ parseBench(const std::string &path, BenchMetrics &out)
         LevelMetrics &metrics = out[inflight];
 
         // Walk "name": value pairs. Objects contribute their "mps"
-        // field under "<name>.mps"; the "sharded" array contributes
-        // one metric per thread count; bare numbers keep their key.
+        // field under "<name>.mps"; bare numbers keep their key.
         std::size_t at = 0;
         while ((at = chunk.find('"', at)) != std::string::npos) {
             std::size_t name_end = chunk.find('"', at + 1);
@@ -141,26 +138,6 @@ parseBench(const std::string &path, BenchMetrics &out)
                 ++after;
             if (after >= chunk.size()) {
                 break;
-            } else if (name == "sharded" && chunk[after] == '[') {
-                std::size_t close = chunk.find(']', after);
-                std::string arr = chunk.substr(
-                    after, close == std::string::npos
-                               ? std::string::npos
-                               : close - after);
-                std::size_t t = 0;
-                while ((t = arr.find("\"threads\":", t)) !=
-                       std::string::npos) {
-                    int threads = std::atoi(arr.c_str() + t + 10);
-                    std::size_t m = arr.find("\"mps\":", t);
-                    if (m == std::string::npos)
-                        break;
-                    metrics["sharded." + std::to_string(threads) +
-                            ".mps"] = std::atof(arr.c_str() + m + 6);
-                    t = m + 6;
-                }
-                at = close == std::string::npos ? chunk.size()
-                                                : close + 1;
-                continue;
             } else if (chunk[after] == '{') {
                 std::size_t m = chunk.find("\"mps\":", after);
                 std::size_t close = chunk.find('}', after);
