@@ -11,6 +11,16 @@
 
 namespace cloudseer::common {
 
+/**
+ * The six bytes the C locale's isspace() accepts, without a locale
+ * call: the wire decoder's token delimiters.
+ */
+inline bool
+isAsciiSpace(int c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /** Split on a single-character delimiter; empty fields are preserved. */
 std::vector<std::string> split(const std::string &s, char delim);
 

@@ -332,13 +332,18 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
         stageT0 = stageT1;
     }
 
-    CheckMessage message;
+    // The message and the scan buffers are members reused per record,
+    // so a warm monitor allocates nothing between the record and the
+    // checker.
+    CheckMessage &message = scratchMessage;
+    message.identifiers.clear();
     {
         obs::StageScope profScope(obs::ProfStage::Parse);
-        logging::ParsedBody parsed = extractor.parse(record.body);
+        std::uint64_t templ_hash =
+            extractor.scan(record.body, scratchTemplate, scratchVariables);
         message.tpl =
-            catalogPtr->find(record.service, parsed.templateText);
-        for (logging::Variable &var : parsed.variables) {
+            catalogPtr->find(record.service, scratchTemplate, templ_hash);
+        for (const logging::VariableRef &var : scratchVariables) {
             if (var.kind == logging::VariableKind::Number &&
                 !config.numbersAsIdentifiers) {
                 continue;

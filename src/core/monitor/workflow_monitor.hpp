@@ -524,6 +524,12 @@ class WorkflowMonitor
     /** Scratch for flight-recorder line encoding (reused per record). */
     std::string flightScratch;
 
+    // Per-record scratch for deliver(): the scanned template, its
+    // variables (views into the record's body) and the checker message.
+    std::string scratchTemplate;
+    std::vector<logging::VariableRef> scratchVariables;
+    CheckMessage scratchMessage;
+
     /** Guarded delivery: clock, dedup, checker, shedding. */
     void deliver(const logging::LogRecord &record,
                  std::vector<MonitorReport> &reports);

@@ -5,32 +5,48 @@
 namespace cloudseer::logging {
 
 IdToken
+IdentifierInterner::lookup(std::string_view value, std::uint64_t hash) const
+{
+    IdToken token = index.find(hash, [&](IdToken candidate) {
+        return tokens[candidate] == value;
+    });
+    return token == FlatIndex::kNone ? kInvalidIdToken : token;
+}
+
+IdToken
+IdentifierInterner::append(std::string_view value, std::uint64_t hash)
+{
+    IdToken token = static_cast<IdToken>(tokens.size());
+    CS_ASSERT(token != kInvalidIdToken, "identifier interner full");
+    tokens.emplace_back(value);
+    index.insert(hash, token);
+    return token;
+}
+
+IdToken
 IdentifierInterner::intern(std::string_view value)
 {
+    const std::uint64_t hash = hashText(value);
     std::lock_guard<std::mutex> lock(mutex);
-    auto it = index.find(value);
-    if (it != index.end()) {
+    IdToken token = lookup(value, hash);
+    if (token != kInvalidIdToken) {
         ++hitCount;
-        return it->second;
+        return token;
     }
     if (maxEntries != 0 && tokens.size() >= maxEntries) {
         ++capRejectedCount;
         return kInvalidIdToken;
     }
     ++missCount;
-    IdToken token = static_cast<IdToken>(tokens.size());
-    CS_ASSERT(token != kInvalidIdToken, "identifier interner full");
-    tokens.emplace_back(value);
-    index.emplace(tokens.back(), token);
-    return token;
+    return append(value, hash);
 }
 
 IdToken
 IdentifierInterner::find(std::string_view value) const
 {
+    const std::uint64_t hash = hashText(value);
     std::lock_guard<std::mutex> lock(mutex);
-    auto it = index.find(value);
-    return it == index.end() ? kInvalidIdToken : it->second;
+    return lookup(value, hash);
 }
 
 const std::string &
@@ -99,15 +115,10 @@ IdentifierInterner::restoreState(common::BinReader &in)
         std::string entry = in.readString();
         if (!in.ok())
             return false;
-        auto it = index.find(std::string_view(entry));
-        IdToken token;
-        if (it != index.end()) {
-            token = it->second;
-        } else {
-            token = static_cast<IdToken>(tokens.size());
-            tokens.push_back(std::move(entry));
-            index.emplace(tokens.back(), token);
-        }
+        const std::uint64_t hash = hashText(entry);
+        IdToken token = lookup(entry, hash);
+        if (token == kInvalidIdToken)
+            token = append(entry, hash);
         if (token != static_cast<IdToken>(expected)) {
             in.fail();
             return false;

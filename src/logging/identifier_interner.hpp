@@ -20,6 +20,10 @@
  * memory. Epoch-based compaction once all id-sets referencing a token
  * have retired is still future work (DESIGN.md §9).
  *
+ * The index is a FlatIndex of (hash, token) slots over `tokens`, so
+ * each identifier's text is stored once and growth moves 8-byte slots
+ * rather than rehashing strings (DESIGN.md §18).
+ *
  * Snapshot/restore (seer-vault): snapshotState writes the full
  * token→text table; restoreState re-interns each text in token order
  * and demands the resulting token match the saved one. That holds in
@@ -36,10 +40,10 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/binio.hpp"
+#include "logging/flat_index.hpp"
 
 namespace cloudseer::logging {
 
@@ -124,20 +128,16 @@ class IdentifierInterner
     static IdentifierInterner &process();
 
   private:
-    struct StringHash
-    {
-        using is_transparent = void;
-        std::size_t
-        operator()(std::string_view s) const
-        {
-            return std::hash<std::string_view>{}(s);
-        }
-    };
-
     std::vector<std::string> tokens; // token -> text
-    std::unordered_map<std::string, IdToken, StringHash,
-                       std::equal_to<>>
-        index;
+    FlatIndex index;                 // hashText(text) -> token
+
+    /** Token of `value` (hashed `hash`); kInvalidIdToken when absent.
+     *  Caller holds the mutex. */
+    IdToken lookup(std::string_view value, std::uint64_t hash) const;
+
+    /** Append `value` as the next token. Caller holds the mutex. */
+    IdToken append(std::string_view value, std::uint64_t hash);
+
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
     std::size_t maxEntries = 0; ///< 0 = unlimited

@@ -1,27 +1,71 @@
 #include "logging/log_codec.hpp"
 
-#include <cctype>
+#include <string_view>
 
+#include "common/string_util.hpp"
 #include "common/time_util.hpp"
 
 namespace cloudseer::logging {
 
 namespace {
 
-/** Advance past one whitespace-delimited token; returns the token. */
-std::string
-takeToken(const std::string &line, std::size_t &pos)
+bool
+spaceAt(std::string_view line, std::size_t pos)
 {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
+    return common::isAsciiSpace(static_cast<unsigned char>(line[pos]));
+}
+
+/** Skip whitespace at `pos`. */
+void
+skipSpace(std::string_view line, std::size_t &pos)
+{
+    while (pos < line.size() && spaceAt(line, pos))
         ++pos;
-    }
+}
+
+/** Advance past one whitespace-delimited token; returns the token. */
+std::string_view
+takeToken(std::string_view line, std::size_t &pos)
+{
+    skipSpace(line, pos);
     std::size_t start = pos;
-    while (pos < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[pos]))) {
+    while (pos < line.size() && !spaceAt(line, pos))
         ++pos;
-    }
     return line.substr(start, pos - start);
+}
+
+/** decodeLogLine's work, into a record the caller owns. */
+DecodeFailure
+decodeInto(std::string_view line, LogRecord &record)
+{
+    std::size_t pos = 0;
+    std::string_view date = takeToken(line, pos);
+    std::string_view time = takeToken(line, pos);
+    if (date.empty() || time.empty())
+        return DecodeFailure::BadTimestamp;
+    if (!common::parseTimestamp(date, time, record.timestamp))
+        return DecodeFailure::BadTimestamp;
+
+    std::string_view node = takeToken(line, pos);
+    std::string_view service = takeToken(line, pos);
+    std::string_view level_text = takeToken(line, pos);
+    if (node.empty())
+        return DecodeFailure::BadHeader;
+    if (service.empty() || level_text.empty()) {
+        // A well-formed timestamp with the tail cut off mid-header is
+        // a truncation artefact, not a malformed header.
+        return DecodeFailure::TruncatedPayload;
+    }
+    if (!parseLogLevel(level_text, record.level))
+        return DecodeFailure::BadHeader;
+
+    skipSpace(line, pos);
+    if (pos == line.size())
+        return DecodeFailure::TruncatedPayload;
+    record.node = node;
+    record.service = service;
+    record.body = line.substr(pos);
+    return DecodeFailure::None;
 }
 
 } // namespace
@@ -64,45 +108,15 @@ decodeFailureName(DecodeFailure cause)
 std::optional<LogRecord>
 decodeLogLine(const std::string &line, DecodeFailure *why)
 {
-    auto fail = [why](DecodeFailure cause) -> std::optional<LogRecord> {
-        if (why != nullptr)
-            *why = cause;
-        return std::nullopt;
-    };
+    // Decoded in place: the one return lets the optional be built
+    // directly in the caller's storage.
+    std::optional<LogRecord> out;
+    DecodeFailure cause = decodeInto(line, out.emplace());
     if (why != nullptr)
-        *why = DecodeFailure::None;
-
-    std::size_t pos = 0;
-    std::string date = takeToken(line, pos);
-    std::string time = takeToken(line, pos);
-    if (date.empty() || time.empty())
-        return fail(DecodeFailure::BadTimestamp);
-
-    LogRecord record;
-    if (!common::parseTimestamp(date + " " + time, record.timestamp))
-        return fail(DecodeFailure::BadTimestamp);
-
-    record.node = takeToken(line, pos);
-    record.service = takeToken(line, pos);
-    std::string level_text = takeToken(line, pos);
-    if (record.node.empty())
-        return fail(DecodeFailure::BadHeader);
-    if (record.service.empty() || level_text.empty()) {
-        // A well-formed timestamp with the tail cut off mid-header is
-        // a truncation artefact, not a malformed header.
-        return fail(DecodeFailure::TruncatedPayload);
-    }
-    if (!parseLogLevel(level_text, record.level))
-        return fail(DecodeFailure::BadHeader);
-
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-        ++pos;
-    }
-    record.body = line.substr(pos);
-    if (record.body.empty())
-        return fail(DecodeFailure::TruncatedPayload);
-    return record;
+        *why = cause;
+    if (cause != DecodeFailure::None)
+        out.reset();
+    return out;
 }
 
 } // namespace cloudseer::logging

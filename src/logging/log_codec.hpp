@@ -47,6 +47,11 @@ const char *decodeFailureName(DecodeFailure cause);
 /**
  * Parse one log line.
  *
+ * Tokens are split on the C locale's six ASCII whitespace bytes and the
+ * timestamp follows common::parseTimestamp, so the accepted language
+ * is exactly that of the original sscanf/isspace decoder. Only the
+ * returned record's strings are allocated.
+ *
  * @param line The text line.
  * @param why  When non-null, receives the failure cause (None on
  *             success).

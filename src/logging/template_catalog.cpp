@@ -4,72 +4,25 @@
 
 namespace cloudseer::logging {
 
-namespace {
-
-constexpr char kSeparator = '\x1f';
-
-/** FNV-1a over one segment, continuing from `h`. */
 std::uint64_t
-fnvStep(std::uint64_t h, std::string_view bytes)
+TemplateCatalog::keyHash(std::string_view service, std::uint64_t text_hash)
 {
-    for (char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-} // namespace
-
-std::size_t
-TemplateCatalog::KeyHash::operator()(const std::string &joined) const
-{
-    return static_cast<std::size_t>(fnvStep(kFnvOffset, joined));
-}
-
-std::size_t
-TemplateCatalog::KeyHash::operator()(const KeyRef &ref) const
-{
-    std::uint64_t h = fnvStep(kFnvOffset, ref.service);
-    h = fnvStep(h, std::string_view(&kSeparator, 1));
-    return static_cast<std::size_t>(fnvStep(h, ref.text));
-}
-
-bool
-TemplateCatalog::KeyEqual::operator()(const KeyRef &ref,
-                                      const std::string &joined) const
-{
-    std::size_t slen = ref.service.size();
-    if (joined.size() != slen + 1 + ref.text.size())
-        return false;
-    return joined.compare(0, slen, ref.service) == 0 &&
-           joined[slen] == kSeparator &&
-           joined.compare(slen + 1, std::string::npos, ref.text) == 0;
-}
-
-std::string
-TemplateCatalog::key(const std::string &service, const std::string &text)
-{
-    std::string joined;
-    joined.reserve(service.size() + 1 + text.size());
-    joined += service;
-    joined += kSeparator;
-    joined += text;
-    return joined;
+    // Identical text from different services is a different template.
+    return text_hash ^ (hashText(service) * 0x9e3779b97f4a7c15ULL);
 }
 
 TemplateId
 TemplateCatalog::intern(const std::string &service,
                         const std::string &template_text)
 {
-    auto it = index.find(KeyRef{service, template_text});
-    if (it != index.end())
-        return it->second;
-    TemplateId id = static_cast<TemplateId>(entries.size());
-    index.emplace(key(service, template_text), id);
+    std::uint64_t text_hash = hashText(template_text);
+    TemplateId id = find(service, template_text, text_hash);
+    if (id != kInvalidTemplate)
+        return id;
+    id = static_cast<TemplateId>(entries.size());
+    CS_ASSERT(id != FlatIndex::kNone, "template catalog full");
     entries.push_back({service, template_text});
+    index.insert(keyHash(service, text_hash), id);
     return id;
 }
 
@@ -77,8 +30,20 @@ TemplateId
 TemplateCatalog::find(const std::string &service,
                       const std::string &template_text) const
 {
-    auto it = index.find(KeyRef{service, template_text});
-    return it == index.end() ? kInvalidTemplate : it->second;
+    return find(service, template_text, hashText(template_text));
+}
+
+TemplateId
+TemplateCatalog::find(std::string_view service,
+                      std::string_view template_text,
+                      std::uint64_t text_hash) const
+{
+    TemplateId id = index.find(
+        keyHash(service, text_hash), [&](TemplateId candidate) {
+            const Entry &entry = entries[candidate];
+            return entry.text == template_text && entry.service == service;
+        });
+    return id == FlatIndex::kNone ? kInvalidTemplate : id;
 }
 
 const std::string &

@@ -12,11 +12,11 @@
 #define CLOUDSEER_LOGGING_TEMPLATE_CATALOG_HPP
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "logging/flat_index.hpp"
 
 namespace cloudseer::logging {
 
@@ -38,6 +38,15 @@ class TemplateCatalog
     TemplateId find(const std::string &service,
                     const std::string &template_text) const;
 
+    /**
+     * find() with the template's hashText() already known, as
+     * VariableExtractor::scan returns it: the monitor's lookup hashes
+     * only the (short) service name.
+     */
+    TemplateId find(std::string_view service,
+                    std::string_view template_text,
+                    std::uint64_t text_hash) const;
+
     /** Service that owns the template. */
     const std::string &service(TemplateId id) const;
 
@@ -57,43 +66,11 @@ class TemplateCatalog
         std::string text;
     };
 
-    /** Unjoined lookup key: hashes/compares as service + '\x1f' + text
-     *  against the stored joined string, so hot-path find() never
-     *  materialises the concatenation. */
-    struct KeyRef
-    {
-        std::string_view service;
-        std::string_view text;
-    };
-
-    struct KeyHash
-    {
-        using is_transparent = void;
-        std::size_t operator()(const std::string &joined) const;
-        std::size_t operator()(const KeyRef &ref) const;
-    };
-
-    struct KeyEqual
-    {
-        using is_transparent = void;
-        bool
-        operator()(const std::string &a, const std::string &b) const
-        {
-            return a == b;
-        }
-        bool operator()(const KeyRef &ref, const std::string &joined) const;
-        bool
-        operator()(const std::string &joined, const KeyRef &ref) const
-        {
-            return (*this)(ref, joined);
-        }
-    };
-
     std::vector<Entry> entries;
-    std::unordered_map<std::string, TemplateId, KeyHash, KeyEqual> index;
+    FlatIndex index; ///< keyHash(service, text) -> id
 
-    static std::string key(const std::string &service,
-                           const std::string &text);
+    static std::uint64_t keyHash(std::string_view service,
+                                 std::uint64_t text_hash);
 };
 
 } // namespace cloudseer::logging

@@ -11,7 +11,9 @@
 #ifndef CLOUDSEER_LOGGING_VARIABLE_EXTRACTOR_HPP
 #define CLOUDSEER_LOGGING_VARIABLE_EXTRACTOR_HPP
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cloudseer::logging {
@@ -33,6 +35,13 @@ struct Variable
     bool operator==(const Variable &other) const = default;
 };
 
+/** A variable occurrence as a view into the scanned body. */
+struct VariableRef
+{
+    VariableKind kind;
+    std::string_view text;
+};
+
 /** Result of template/variable separation for one message. */
 struct ParsedBody
 {
@@ -43,7 +52,9 @@ struct ParsedBody
 /**
  * Hand-rolled single-pass scanner (no std::regex — it dominates runtime
  * at stream rates). Deterministic longest-match at each position with
- * precedence UUID > IP > number.
+ * precedence UUID > IP > number. Character classes come from one
+ * 256-entry table (ASCII, as the C locale classifies), so no locale
+ * call runs per byte.
  */
 class VariableExtractor
 {
@@ -51,7 +62,19 @@ class VariableExtractor
     /** Placeholder inserted for each kind. */
     static const char *placeholder(VariableKind kind);
 
-    /** Parse one message body into template + variables. */
+    /**
+     * Scan one message body into caller-owned buffers (both replaced),
+     * so a reused pair allocates nothing once warm. Literal runs are
+     * appended to `templ` whole; `vars` views into `body`, which must
+     * outlive them.
+     *
+     * @return hashText(templ), so a catalog lookup need not hash the
+     *         template again (TemplateCatalog::find).
+     */
+    std::uint64_t scan(std::string_view body, std::string &templ,
+                       std::vector<VariableRef> &vars) const;
+
+    /** Parse one message body into template + variables (owning). */
     ParsedBody parse(const std::string &body) const;
 
     /**

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "common/rng.hpp"
+#include "front_end_reference.hpp"
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
@@ -234,6 +235,86 @@ TEST(TimeUtil, ParseRejectsGarbage)
     EXPECT_FALSE(parseTimestamp("not a time", out));
     EXPECT_FALSE(parseTimestamp("2017-01-12 00:00:00.000", out));
     EXPECT_FALSE(parseTimestamp("", out));
+}
+
+TEST(TimeUtil, AppendTimestampMatchesSnprintfReference)
+{
+    std::vector<double> times = {-5.0, -0.0, 0.0, 0.0004, 0.0005, 0.9995,
+                                 0.9994999, 59.9995, 3599.9995, 86399.9995,
+                                 86400.0, 1e-9, 123456.789};
+    for (int day = 0; day < 400; day += 7) {
+        for (double second : {0.0, 0.5, 59.9995, 3600.25, 86399.9996}) {
+            times.push_back(day * 86400.0 + second);
+            times.push_back(day * 86400.0 + second + 0.0015);
+        }
+    }
+    Rng rng(99);
+    for (int i = 0; i < 5000; ++i)
+        times.push_back(rng.uniformReal(0.0, 40.0 * 86400.0));
+    for (double t : times) {
+        std::string out = "prefix|";
+        appendTimestamp(t, out);
+        EXPECT_EQ(out, "prefix|" + reference::formatTimestamp(t)) << t;
+    }
+}
+
+TEST(TimeUtil, ParseMatchesSscanfReference)
+{
+    const std::vector<std::string> stamps = {
+        "2016-01-12 00:00:00.000", "2016-01-12 08:30:01.123",
+        "2016-01-15 23:59:59.999", "2016-01-12 00:00:00",
+        "2016-01-12 00:00:00.", "2016-01-12 00:00:00.5xyz",
+        "2016-01-12\t00:00:00.000", "2016-01-12\v\f00:00:00.000",
+        " \n2016-01-12 00:00:00.000", "2016 -01-12 00:00:00.000",
+        "2016- 01-12 00:00:00.000", "2016-01-12 00 :00:00.000",
+        "2016-01-12 00: 00:00.000", "2016-01-12 00:00:00. 5",
+        "2016-01-1200:00:00.000", "+2016-+01-+12 +1:-1:+1.-5",
+        "2016--1-12 00:00:00.000", "2016-01-12 -0:-0:-0.-0",
+        "2016-01-11 00:00:00.000", "2015-01-12 00:00:00.000",
+        "2016-02-12 00:00:00.000", "002016-0001-00012 0000:01:02.0003",
+        "2016-01-12 00:00:00.+", "2016-01-12 00:00:00.-", "2016-01-",
+        "2016-01-12 ", "-", "+", "", " ", "2016-01-12 00:00:00.1\x80",
+        std::string("2016-01-12 00:00\0:00.000", 23),
+        std::string("2016-01-12\0 00:00:00.000", 24),
+        "2016-01-12 00:00:00.0\xff", "\xc3\xa9" "016-01-12 00:00:00.000"};
+    for (const std::string &text : stamps) {
+        SimTime want = -1, got = -1;
+        bool want_ok = reference::parseTimestamp(text, want);
+        EXPECT_EQ(parseTimestamp(text, got), want_ok) << text;
+        if (want_ok) {
+            EXPECT_EQ(got, want) << text;
+        }
+
+        // The two-token form reads `date time` as one stream.
+        std::size_t split = text.find(' ');
+        if (split == std::string::npos)
+            continue;
+        SimTime joined = -1;
+        EXPECT_EQ(parseTimestamp(std::string_view(text).substr(0, split),
+                                 std::string_view(text).substr(split + 1),
+                                 joined),
+                  want_ok)
+            << text;
+        if (want_ok) {
+            EXPECT_EQ(joined, want) << text;
+        }
+    }
+}
+
+TEST(TimeUtil, ParseRejectsFieldsPastIntRange)
+{
+    // sscanf's %d is undefined here; parseTimestamp defines it as a
+    // rejection, while the extremes of int itself still parse.
+    SimTime out = 0;
+    EXPECT_FALSE(parseTimestamp("2016-01-12 00:00:00.2147483648", out));
+    EXPECT_FALSE(parseTimestamp("2016-01-12 00:00:00.-2147483649", out));
+    EXPECT_FALSE(parseTimestamp("4294969312-01-12 00:00:00.000", out));
+    EXPECT_FALSE(parseTimestamp("2016-01-12 00:00:99999999999999999999.0",
+                                out));
+    ASSERT_TRUE(parseTimestamp("2016-01-12 00:00:00.2147483647", out));
+    EXPECT_EQ(out, 2147483647 / 1000.0);
+    ASSERT_TRUE(parseTimestamp("2016-01-12 00:00:00.-2147483648", out));
+    EXPECT_EQ(out, -2147483648.0 / 1000.0);
 }
 
 TEST(SampleStats, EmptyIsZero)
