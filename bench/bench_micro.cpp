@@ -10,10 +10,12 @@
 #include "common/uuid.hpp"
 #include "core/mining/dependency_miner.hpp"
 #include "core/mining/model_builder.hpp"
+#include "core/monitor/report_json.hpp"
 #include "eval/accuracy_harness.hpp"
 #include "eval/modeling_harness.hpp"
 #include "logging/log_codec.hpp"
 #include "logging/variable_extractor.hpp"
+#include "obs/flight_recorder.hpp"
 
 using namespace cloudseer;
 
@@ -294,6 +296,97 @@ BENCHMARK(BM_MonitorScalesWithUsers)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+/** Every report the monitor makes on the benchmark dataset. */
+const std::vector<core::MonitorReport> &
+datasetReports()
+{
+    static std::vector<core::MonitorReport> reports = [] {
+        std::vector<core::MonitorReport> out;
+        core::WorkflowMonitor monitor(core::MonitorConfig{},
+                                      models().catalog,
+                                      models().automataCopy());
+        for (const logging::LogRecord &record : dataset().stream)
+            for (core::MonitorReport &report : monitor.feed(record))
+                out.push_back(std::move(report));
+        for (core::MonitorReport &report : monitor.finish())
+            out.push_back(std::move(report));
+        return out;
+    }();
+    return reports;
+}
+
+void
+BM_ReportToJson(benchmark::State &state)
+{
+    // The verdict stage: one report to its JSON line, cycling through
+    // the dataset's reports.
+    const std::vector<core::MonitorReport> &reports = datasetReports();
+    const logging::TemplateCatalog &catalog = *models().catalog;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            core::reportToJson(reports[next], catalog));
+        next = next + 1 == reports.size() ? 0 : next + 1;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ReportToJson);
+
+void
+BM_ForensicBundle(benchmark::State &state)
+{
+    // A bundle over a 199-line context, 53 new lines after the last
+    // one, as on the perturbed paper workload: six busy nodes with
+    // 32-line rings plus 7 quarantined lines, so about three quarters
+    // of the context fragments are cached and the rest render afresh.
+    constexpr std::size_t kBusyNodes = 6;
+    constexpr std::size_t kLinesBetween = 53;
+    const std::vector<logging::LogRecord> &stream = dataset().stream;
+    std::vector<std::string> lines;
+    for (const logging::LogRecord &record : stream)
+        lines.push_back(logging::encodeLogLine(record));
+    obs::FlightRecorderConfig config;
+    config.perNodeCapacity = 32;
+    obs::FlightRecorder recorder(config);
+    const std::string nodes[kBusyNodes] = {"compute-1", "compute-2",
+                                           "compute-3", "controller",
+                                           "network",   "storage"};
+    for (int i = 0; i < 7; ++i)
+        recorder.record("<malformed>", stream[i].timestamp, "garbage");
+    std::size_t at = 0;
+    auto feed = [&](std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i, ++at) {
+            const logging::LogRecord &record = stream[at % stream.size()];
+            recorder.record(nodes[at % kBusyNodes], record.timestamp,
+                            lines[at % stream.size()]);
+        }
+    };
+    feed(kBusyNodes * config.perNodeCapacity);
+
+    const std::vector<core::MonitorReport> &reports = datasetReports();
+    const logging::TemplateCatalog &catalog = *models().catalog;
+    const logging::IdentifierInterner &interner =
+        logging::IdentifierInterner::process();
+    std::size_t next = 0;
+    std::size_t reserve = 0;
+    for (auto _ : state) {
+        feed(kLinesBetween);
+        std::string out;
+        out.reserve(reserve);
+        core::appendBundleJson(out, reports[next], catalog, interner,
+                               recorder);
+        reserve = std::max(reserve, out.size());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+        next = next + 1 == reports.size() ? 0 : next + 1;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+    state.counters["context_lines"] =
+        static_cast<double>(recorder.context().size());
+    state.counters["bundle_bytes"] = static_cast<double>(reserve);
+}
+BENCHMARK(BM_ForensicBundle);
 
 void
 BM_StreamMerge(benchmark::State &state)

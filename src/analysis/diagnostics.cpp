@@ -1,8 +1,9 @@
 #include "analysis/diagnostics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "common/string_util.hpp"
 
 namespace cloudseer::analysis {
 
@@ -194,37 +195,6 @@ LintReport::toText() const
     return out.str();
 }
 
-namespace {
-
-/** Minimal JSON string escaping (template text can carry anything). */
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size() + 2);
-    for (char c : raw) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 LintReport::toJson() const
 {
@@ -239,8 +209,8 @@ LintReport::toJson() const
         const Diagnostic &diagnostic = diagnostics[i];
         out << "    {\"id\": \"" << diagnostic.id << "\", \"severity\": \""
             << severityName(diagnostic.severity) << "\", \"automaton\": \""
-            << jsonEscape(diagnostic.automaton) << "\", \"message\": \""
-            << jsonEscape(diagnostic.message) << "\"";
+            << common::jsonEscape(diagnostic.automaton) << "\", \"message\": \""
+            << common::jsonEscape(diagnostic.message) << "\"";
         if (diagnostic.eventA >= 0)
             out << ", \"event\": " << diagnostic.eventA;
         if (diagnostic.eventB >= 0)
@@ -251,7 +221,7 @@ LintReport::toJson() const
             out << ", \"metrics\": {";
             bool first = true;
             for (const auto &[key, value] : diagnostic.metrics) {
-                out << (first ? "" : ", ") << "\"" << jsonEscape(key)
+                out << (first ? "" : ", ") << "\"" << common::jsonEscape(key)
                     << "\": " << value;
                 first = false;
             }

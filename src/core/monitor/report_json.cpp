@@ -1,134 +1,184 @@
 #include "core/monitor/report_json.hpp"
 
-#include <cstdio>
-
 #include "common/string_util.hpp"
 #include "core/monitor/workflow_monitor.hpp"
+#include "logging/identifier_interner.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace cloudseer::core {
 
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size() + 8);
-    for (char c : raw) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
-
 namespace {
 
-std::string
-jsonStringArray(const std::vector<std::string> &items)
+using common::appendFixed;
+using common::appendInt;
+using common::appendJsonEscaped;
+
+void
+appendStringArray(std::string &out, const std::vector<std::string> &items)
 {
-    std::string out = "[";
+    out += '[';
     for (std::size_t i = 0; i < items.size(); ++i) {
         if (i > 0)
-            out += ",";
-        out += "\"" + jsonEscape(items[i]) + "\"";
+            out += ',';
+        out += '"';
+        appendJsonEscaped(out, items[i]);
+        out += '"';
     }
-    out += "]";
-    return out;
+    out += ']';
+}
+
+/** TemplateCatalog::label ("service: text"), escaped, without the
+ *  temporary: ": " needs no escaping, so the parts escape alone. */
+void
+appendLabel(std::string &out, const logging::TemplateCatalog &catalog,
+            logging::TemplateId tpl)
+{
+    appendJsonEscaped(out, catalog.service(tpl));
+    out += ": ";
+    appendJsonEscaped(out, catalog.text(tpl));
+}
+
+void
+appendLabelArray(std::string &out,
+                 const logging::TemplateCatalog &catalog,
+                 const std::vector<logging::TemplateId> &templates)
+{
+    out += '[';
+    for (std::size_t i = 0; i < templates.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        out += '"';
+        appendLabel(out, catalog, templates[i]);
+        out += '"';
+    }
+    out += ']';
+}
+
+template <typename Int>
+void
+appendIntArray(std::string &out, const std::vector<Int> &items)
+{
+    out += '[';
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        appendInt(out, items[i]);
+    }
+    out += ']';
 }
 
 } // namespace
+
+void
+appendReportJson(std::string &out, const MonitorReport &report,
+                 const logging::TemplateCatalog &catalog)
+{
+    const CheckEvent &event = report.event;
+
+    out += "{\"kind\":\"";
+    out += checkEventKindName(event.kind);
+    out += "\",\"task\":\"";
+    appendJsonEscaped(out, event.taskName);
+    out += "\",\"time\":";
+    appendFixed(out, event.time, 3);
+    out += ",\"start\":";
+    appendFixed(out, event.startTime, 3);
+    out += ",\"duration\":";
+    appendFixed(out, event.time - event.startTime, 3);
+    out += report.endOfStream ? ",\"endOfStream\":true"
+                              : ",\"endOfStream\":false";
+    out += ",\"messages\":";
+    appendInt(out, event.records.size());
+    out += ",\"records\":";
+    appendIntArray(out, event.records);
+    out += ",\"candidates\":";
+    appendStringArray(out, event.candidateTasks);
+    out += ",\"states\":";
+    appendLabelArray(out, catalog, event.frontierTemplates);
+    out += ",\"expected\":";
+    appendLabelArray(out, catalog, event.expectedTemplates);
+    if (event.totalBudget >= 0.0) {
+        out += ",\"latency\":{\"total\":";
+        appendFixed(out, event.totalElapsed, 3);
+        out += ",\"budget\":";
+        appendFixed(out, event.totalBudget, 3);
+        out += ",\"criticalPath\":";
+        appendIntArray(out, event.criticalPath);
+        out += ",\"edges\":[";
+        for (std::size_t i = 0; i < event.edgeTimings.size(); ++i) {
+            const EdgeTiming &timing = event.edgeTimings[i];
+            if (i > 0)
+                out += ',';
+            out += "{\"from\":";
+            appendInt(out, timing.from);
+            out += ",\"to\":";
+            appendInt(out, timing.to);
+            out += ",\"fromLabel\":\"";
+            appendLabel(out, catalog, timing.fromTpl);
+            out += "\",\"toLabel\":\"";
+            appendLabel(out, catalog, timing.toTpl);
+            out += "\",\"elapsed\":";
+            appendFixed(out, timing.elapsed, 3);
+            out += ",\"budget\":";
+            appendFixed(out, timing.budget, 3);
+            out += timing.exceeded ? ",\"exceeded\":true}"
+                                   : ",\"exceeded\":false}";
+        }
+        out += "]}";
+    }
+    out += '}';
+}
 
 std::string
 reportToJson(const MonitorReport &report,
              const logging::TemplateCatalog &catalog)
 {
+    // Most reports fit (about 220 bytes on the paper workloads), so
+    // the common case allocates once.
+    std::string out;
+    out.reserve(512);
+    appendReportJson(out, report, catalog);
+    return out;
+}
+
+void
+appendBundleJson(std::string &out, const MonitorReport &report,
+                 const logging::TemplateCatalog &catalog,
+                 const logging::IdentifierInterner &interner,
+                 const obs::FlightRecorder &recorder)
+{
     const CheckEvent &event = report.event;
 
-    std::vector<std::string> states;
-    for (logging::TemplateId tpl : event.frontierTemplates)
-        states.push_back(catalog.label(tpl));
-    std::vector<std::string> expected;
-    for (logging::TemplateId tpl : event.expectedTemplates)
-        expected.push_back(catalog.label(tpl));
+    out += "{\"kind\":\"BUNDLE\",\"reason\":\"";
+    out += checkEventKindName(event.kind);
+    out += "\",\"task\":\"";
+    appendJsonEscaped(out, event.taskName);
+    out += "\",\"time\":";
+    appendFixed(out, event.time, 3);
+    out += ",\"group\":";
+    appendInt(out, event.group);
 
-    std::string out = "{";
-    out += "\"kind\":\"" +
-           std::string(checkEventKindName(event.kind)) + "\",";
-    out += "\"task\":\"" + jsonEscape(event.taskName) + "\",";
-    out += "\"time\":" + common::formatDouble(event.time, 3) + ",";
-    out += "\"start\":" + common::formatDouble(event.startTime, 3) + ",";
-    out += "\"duration\":" +
-           common::formatDouble(event.time - event.startTime, 3) + ",";
-    out += std::string("\"endOfStream\":") +
-           (report.endOfStream ? "true" : "false") + ",";
-    out += "\"messages\":" + std::to_string(event.records.size()) + ",";
-    out += "\"records\":[";
-    for (std::size_t i = 0; i < event.records.size(); ++i) {
+    // The group's accumulated identifier set, resolved to text — the
+    // handles an operator greps the wider infrastructure logs for.
+    out += ",\"identifiers\":[";
+    for (std::size_t i = 0; i < event.identifiers.size(); ++i) {
         if (i > 0)
-            out += ",";
-        out += std::to_string(event.records[i]);
+            out += ',';
+        out += '"';
+        appendJsonEscaped(out, interner.text(event.identifiers[i]));
+        out += '"';
     }
-    out += "],";
-    out += "\"candidates\":" + jsonStringArray(event.candidateTasks) +
-           ",";
-    out += "\"states\":" + jsonStringArray(states) + ",";
-    out += "\"expected\":" + jsonStringArray(expected);
-    if (event.totalBudget >= 0.0) {
-        out += ",\"latency\":{";
-        out += "\"total\":" +
-               common::formatDouble(event.totalElapsed, 3) + ",";
-        out += "\"budget\":" +
-               common::formatDouble(event.totalBudget, 3) + ",";
-        out += "\"criticalPath\":[";
-        for (std::size_t i = 0; i < event.criticalPath.size(); ++i) {
-            if (i > 0)
-                out += ",";
-            out += std::to_string(event.criticalPath[i]);
-        }
-        out += "],\"edges\":[";
-        for (std::size_t i = 0; i < event.edgeTimings.size(); ++i) {
-            const EdgeTiming &timing = event.edgeTimings[i];
-            if (i > 0)
-                out += ",";
-            out += "{\"from\":" + std::to_string(timing.from) +
-                   ",\"to\":" + std::to_string(timing.to) +
-                   ",\"fromLabel\":\"" +
-                   jsonEscape(catalog.label(timing.fromTpl)) +
-                   "\",\"toLabel\":\"" +
-                   jsonEscape(catalog.label(timing.toTpl)) +
-                   "\",\"elapsed\":" +
-                   common::formatDouble(timing.elapsed, 3) +
-                   ",\"budget\":" +
-                   common::formatDouble(timing.budget, 3) +
-                   ",\"exceeded\":" +
-                   (timing.exceeded ? "true" : "false") + "}";
-        }
-        out += "]}";
-    }
-    out += "}";
-    return out;
+
+    // The full report record: group state (states/expected), ambiguity
+    // alternatives (candidates), per-edge timings (latency).
+    out += "],\"report\":";
+    appendReportJson(out, report, catalog);
+
+    // Frozen flight-recorder rings: the raw lines surrounding the
+    // failure, merged across nodes in time order.
+    out += ",\"context\":[";
+    recorder.appendContextJson(out);
+    out += "]}";
 }
 
 std::string

@@ -16,18 +16,46 @@
 
 #include <string>
 
+#include "common/string_util.hpp"
 #include "core/monitor/report.hpp"
+
+namespace cloudseer::obs {
+class FlightRecorder;
+}
+
+namespace cloudseer::logging {
+class IdentifierInterner;
+}
 
 namespace cloudseer::core {
 
 struct IngestStats;
 
-/** Escape a string per JSON rules. */
-std::string jsonEscape(const std::string &raw);
+/** Escape a string per JSON rules (the one escaper, common's). */
+using common::jsonEscape;
+
+/**
+ * Append one report as a single-line JSON object to `out`, in one pass
+ * with no intermediate strings: into a buffer with enough capacity it
+ * allocates nothing.
+ */
+void appendReportJson(std::string &out, const MonitorReport &report,
+                      const logging::TemplateCatalog &catalog);
 
 /** Render one report as a single-line JSON object. */
 std::string reportToJson(const MonitorReport &report,
                          const logging::TemplateCatalog &catalog);
+
+/**
+ * Append one forensic bundle, {"kind":"BUNDLE",...} (DESIGN.md §12),
+ * to `out` in the same single pass: reason, task, time and group, the
+ * group's identifiers resolved through `interner`, the report record,
+ * and the recorder's context (FlightRecorder::appendContextJson).
+ */
+void appendBundleJson(std::string &out, const MonitorReport &report,
+                      const logging::TemplateCatalog &catalog,
+                      const logging::IdentifierInterner &interner,
+                      const obs::FlightRecorder &recorder);
 
 /**
  * Final summary record for the report stream: checker and ingest

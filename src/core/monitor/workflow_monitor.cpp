@@ -737,62 +737,23 @@ WorkflowMonitor::captureBundles(const std::vector<MonitorReport> &reports)
         switch (report.event.kind) {
           case CheckEventKind::ErrorDetected:
           case CheckEventKind::Timeout:
-          case CheckEventKind::LatencyAnomaly:
-            obsPtr->flight()->addBundle(forensicBundleJson(report));
+          case CheckEventKind::LatencyAnomaly: {
+            // One pass into one buffer sized for the largest bundle so
+            // far: the stored string is the only allocation once warm.
+            std::string bundle;
+            bundle.reserve(bundleBytesPeak);
+            appendBundleJson(bundle, report, *catalogPtr,
+                             logging::IdentifierInterner::process(),
+                             *obsPtr->flight());
+            bundleBytesPeak = std::max(bundleBytesPeak, bundle.size());
+            obsPtr->flight()->addBundle(std::move(bundle));
             break;
+          }
           case CheckEventKind::Accepted:
           case CheckEventKind::Degraded:
             break;
         }
     }
-}
-
-std::string
-WorkflowMonitor::forensicBundleJson(const MonitorReport &report) const
-{
-    const logging::IdentifierInterner &interner =
-        logging::IdentifierInterner::process();
-
-    std::string out = "{\"kind\":\"BUNDLE\",";
-    out += "\"reason\":\"";
-    out += checkEventKindName(report.event.kind);
-    out += "\",";
-    out += "\"task\":\"" + jsonEscape(report.event.taskName) + "\",";
-    out += "\"time\":" + common::formatDouble(report.event.time, 3) +
-           ",";
-    out += "\"group\":" + std::to_string(report.event.group) + ",";
-
-    // The group's accumulated identifier set, resolved to text — the
-    // handles an operator greps the wider infrastructure logs for.
-    out += "\"identifiers\":[";
-    for (std::size_t i = 0; i < report.event.identifiers.size(); ++i) {
-        if (i > 0)
-            out += ",";
-        out += "\"" +
-               jsonEscape(interner.text(report.event.identifiers[i])) +
-               "\"";
-    }
-    out += "],";
-
-    // The full report record: group state (states/expected), ambiguity
-    // alternatives (candidates), per-edge timings (latency).
-    out += "\"report\":" + reportToJson(report, *catalogPtr) + ",";
-
-    // Frozen flight-recorder rings: the raw lines surrounding the
-    // failure, merged across nodes in time order.
-    out += "\"context\":[";
-    bool first = true;
-    for (const obs::ContextLine &line :
-         obsPtr->flight()->context()) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "{\"node\":\"" + jsonEscape(line.node) + "\",";
-        out += "\"time\":" + common::formatDouble(line.time, 3) + ",";
-        out += "\"line\":\"" + jsonEscape(line.line) + "\"}";
-    }
-    out += "]}";
-    return out;
 }
 
 std::string

@@ -524,6 +524,10 @@ class WorkflowMonitor
     /** Scratch for flight-recorder line encoding (reused per record). */
     std::string flightScratch;
 
+    /** Largest forensic bundle rendered so far: the next one's
+     *  reservation. */
+    std::size_t bundleBytesPeak = 0;
+
     // Per-record scratch for deliver(): the scanned template, its
     // variables (views into the record's body) and the checker message.
     std::string scratchTemplate;
@@ -544,9 +548,6 @@ class WorkflowMonitor
      * `reports`. No-op without a flight recorder.
      */
     void captureBundles(const std::vector<MonitorReport> &reports);
-
-    /** Render one report's forensic bundle as single-line JSON. */
-    std::string forensicBundleJson(const MonitorReport &report) const;
 
     /** Feed the newest snapshot to the pulse engine and publish. */
     void pulseStep();

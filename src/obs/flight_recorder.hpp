@@ -46,12 +46,15 @@ struct FlightRecorderConfig
     bool enabled() const { return perNodeCapacity > 0; }
 };
 
-/** One captured raw line with its origin and message-clock stamp. */
-struct ContextLine
+/**
+ * One captured raw line with its origin and message-clock stamp, as
+ * views into the recorder: valid until the next record().
+ */
+struct ContextView
 {
-    std::string node;
+    std::string_view node;
     double time = 0.0;
-    std::string line;
+    std::string_view line;
 };
 
 /** Bounded per-node ring buffers plus the bundle store. */
@@ -73,16 +76,29 @@ class FlightRecorder
                 std::string_view line);
 
     /**
-     * Merged snapshot of every ring, time order (ties by node then
-     * capture order) — the "context" section of a forensic bundle.
+     * Every ring merged in time order (ties by node, then capture
+     * order): the lines of a forensic bundle's "context" section.
      */
-    std::vector<ContextLine> context() const;
+    std::vector<ContextView> context() const;
+
+    /**
+     * Append the "context" section's elements to `out`: context() in
+     * the same order, each line as {"node":…,"time":…,"line":…}, comma
+     * separated, without the enclosing brackets.
+     *
+     * Each slot caches its rendered fragment. It is rendered on the
+     * first call that includes the slot and dropped when record()
+     * overwrites the slot, so consecutive bundles, which share most of
+     * their context, copy fragments instead of escaping and
+     * formatting the lines again. Once warm this allocates nothing.
+     */
+    void appendContextJson(std::string &out) const;
 
     /** Store one rendered bundle (JSON object, single line). */
     void addBundle(std::string bundle_json);
 
     /** Retained bundles, oldest first. */
-    const std::vector<std::string> &bundles() const { return store; }
+    const std::vector<std::string> &bundles() const;
 
     /** Bundles dropped past maxBundles. */
     std::uint64_t droppedBundles() const { return droppedBundleCount; }
@@ -101,11 +117,15 @@ class FlightRecorder
     struct Slot
     {
         double time = 0.0;
-        std::string line; ///< capacity reused across overwrites
+        std::uint64_t seq = 0; ///< the ring's capture count at record()
+        std::string line;      ///< capacity reused across overwrites
+        /** Rendered context element; empty when stale. A cache, so
+         *  appendContextJson() fills it from a const recorder. */
+        mutable std::string fragment;
     };
 
     /** Fixed-size ring: `slots` grows to capacity then wraps at
-     *  `next`; `seq` preserves capture order across the wrap. */
+     *  `next`; `seq` counts captures, ordering slots across the wrap. */
     struct NodeRing
     {
         std::vector<Slot> slots;
@@ -113,11 +133,32 @@ class FlightRecorder
         std::uint64_t seq = 0;
     };
 
+    /** One slot in context order: (time, ring rank, seq) is unique. */
+    struct Ordered
+    {
+        double time;
+        std::size_t rank; ///< the ring's position in node order
+        std::uint64_t seq;
+        const std::string *node;
+        const Slot *slot;
+    };
+
+    /** Every slot of every ring, sorted into context order. */
+    void orderSlots(std::vector<Ordered> &out) const;
+
     FlightRecorderConfig cfg;
     // std::less<> lets record() probe with a string_view; the node
     // string is materialised only when a new ring is created.
     std::map<std::string, NodeRing, std::less<>> rings;
-    std::vector<std::string> store;
+    /** Scratch for appendContextJson(), reused across bundles. */
+    mutable std::vector<Ordered> order;
+    /**
+     * Bundle ring: grows to maxBundles, then addBundle() overwrites the
+     * oldest at `storeHead`. bundles() rotates it back to oldest-first
+     * on demand, so neither side shifts the whole store per bundle.
+     */
+    mutable std::vector<std::string> store;
+    mutable std::size_t storeHead = 0;
     std::uint64_t recorded = 0;
     std::uint64_t droppedLineCount = 0;
     std::uint64_t droppedBundleCount = 0;

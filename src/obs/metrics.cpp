@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/string_util.hpp"
 
 namespace cloudseer::obs {
 
@@ -43,25 +44,6 @@ escapeHelp(const std::string &text)
 /** Label-value escaping: backslash, double quote, and line feed. */
 std::string
 escapeLabelValue(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '\\')
-            out += "\\\\";
-        else if (c == '"')
-            out += "\\\"";
-        else if (c == '\n')
-            out += "\\n";
-        else
-            out += c;
-    }
-    return out;
-}
-
-/** Minimal JSON string escaping for metric keys in jsonSnapshot. */
-std::string
-jsonEscape(const std::string &text)
 {
     std::string out;
     out.reserve(text.size());
@@ -350,14 +332,14 @@ MetricsRegistry::jsonSnapshot() const
     out << "{\"counters\":{";
     bool first = true;
     for (const auto &[name, entry] : counters) {
-        out << (first ? "" : ",") << "\"" << name
+        out << (first ? "" : ",") << "\"" << common::jsonEscape(name)
             << "\":" << entry.metric.value();
         first = false;
     }
     out << "},\"gauges\":{";
     first = true;
     for (const auto &[name, entry] : gauges) {
-        out << (first ? "" : ",") << "\"" << jsonEscape(name)
+        out << (first ? "" : ",") << "\"" << common::jsonEscape(name)
             << "\":" << formatNumber(entry.metric.value());
         first = false;
     }
@@ -365,7 +347,8 @@ MetricsRegistry::jsonSnapshot() const
     first = true;
     for (const auto &[name, entry] : histograms) {
         const Histogram &h = entry.metric;
-        out << (first ? "" : ",") << "\"" << name << "\":{\"count\":"
+        out << (first ? "" : ",") << "\"" << common::jsonEscape(name)
+            << "\":{\"count\":"
             << h.count() << ",\"sum\":" << formatNumber(h.sum())
             << ",\"min\":" << formatNumber(h.minSeen())
             << ",\"max\":" << formatNumber(h.maxSeen())

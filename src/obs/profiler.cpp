@@ -1,6 +1,7 @@
 #include "obs/profiler.hpp"
 
 #include "common/stackcapture.hpp"
+#include "common/string_util.hpp"
 
 #include <algorithm>
 #include <cerrno>
@@ -138,30 +139,6 @@ foldedFrame(const std::string &symbol)
 }
 
 std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 jsonUnescape(const std::string &text)
 {
     std::string out;
@@ -174,6 +151,7 @@ jsonUnescape(const std::string &text)
         char next = text[++i];
         switch (next) {
         case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u':
             if (i + 4 < text.size()) {
@@ -271,7 +249,7 @@ Profile::toJson() const
             << "\", \"count\": " << stack.count << ", \"frames\": [";
         for (std::size_t f = 0; f < stack.frames.size(); ++f)
             out << (f == 0 ? "" : ", ") << "\""
-                << jsonEscape(stack.frames[f]) << "\"";
+                << common::jsonEscape(stack.frames[f]) << "\"";
         out << "]}" << (i + 1 < stacks.size() ? "," : "") << "\n";
     }
     out << " ]}\n";

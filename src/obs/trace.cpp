@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/string_util.hpp"
+
 namespace cloudseer::obs {
 
 const char *
@@ -144,8 +146,9 @@ ExecutionTracer::appendSpanJson(std::string &out,
         span.task.empty() ? "group-" + std::to_string(span.group)
                           : span.task;
     comma();
-    out += "{\"name\":\"" + name +
-           "\",\"cat\":\"execution\",\"ph\":\"X\",\"ts\":" +
+    out += "{\"name\":\"";
+    common::appendJsonEscaped(out, name);
+    out += "\",\"cat\":\"execution\",\"ph\":\"X\",\"ts\":" +
            std::to_string(traceMicros(span.start)) +
            ",\"dur\":" +
            std::to_string(traceMicros(span.end) -
@@ -168,8 +171,9 @@ ExecutionTracer::appendSpanJson(std::string &out,
     // share its tid and fall inside its [start, end] window.
     for (const SpanTransition &transition : span.transitions) {
         comma();
-        out += "{\"name\":\"" + transition.name +
-               "\",\"cat\":\"transition\",\"ph\":\"X\",\"ts\":" +
+        out += "{\"name\":\"";
+        common::appendJsonEscaped(out, transition.name);
+        out += "\",\"cat\":\"transition\",\"ph\":\"X\",\"ts\":" +
                std::to_string(traceMicros(transition.start)) +
                ",\"dur\":" +
                std::to_string(

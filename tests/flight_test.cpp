@@ -514,7 +514,7 @@ TEST(FlightRecorderTest, RingWrapsKeepingNewestLines)
         recorder.record("n1", static_cast<double>(i),
                         "line" + std::to_string(i));
     EXPECT_EQ(recorder.linesRecorded(), 5u);
-    std::vector<obs::ContextLine> context = recorder.context();
+    std::vector<obs::ContextView> context = recorder.context();
     ASSERT_EQ(context.size(), 3u);
     EXPECT_EQ(context[0].line, "line3");
     EXPECT_EQ(context[2].line, "line5");
@@ -528,7 +528,7 @@ TEST(FlightRecorderTest, ContextMergesNodesInTimeOrder)
     recorder.record("compute-1", 2.0, "b");
     recorder.record("controller", 1.0, "a");
     recorder.record("compute-1", 3.0, "c");
-    std::vector<obs::ContextLine> context = recorder.context();
+    std::vector<obs::ContextView> context = recorder.context();
     ASSERT_EQ(context.size(), 3u);
     EXPECT_EQ(context[0].line, "a");
     EXPECT_EQ(context[1].line, "b");
@@ -561,6 +561,33 @@ TEST(FlightRecorderTest, BundleStoreIsBounded)
     EXPECT_EQ(recorder.bundles()[0], "{\"n\":2}");
     EXPECT_EQ(recorder.droppedBundles(), 1u);
     EXPECT_EQ(recorder.bundleJsonLines(), "{\"n\":2}\n{\"n\":3}\n");
+}
+
+TEST(FlightRecorderTest, BundleRingStaysOldestFirstAcrossWraps)
+{
+    // The store is a ring: reads between adds, at every wrap offset,
+    // must still see the newest maxBundles oldest first.
+    obs::FlightRecorderConfig config;
+    config.perNodeCapacity = 1;
+    config.maxBundles = 3;
+    obs::FlightRecorder recorder(config);
+    for (int n = 1; n <= 11; ++n) {
+        recorder.addBundle(std::to_string(n));
+        if (n % 2 == 0 && n < 11)
+            continue; // leave some wraps unread
+        std::vector<std::string> want;
+        for (int k = std::max(1, n - 2); k <= n; ++k)
+            want.push_back(std::to_string(k));
+        EXPECT_EQ(recorder.bundles(), want) << "after " << n;
+    }
+    EXPECT_EQ(recorder.droppedBundles(), 8u);
+    EXPECT_EQ(recorder.bundleJsonLines(), "9\n10\n11\n");
+
+    config.maxBundles = 0;
+    obs::FlightRecorder none(config);
+    none.addBundle("{}");
+    EXPECT_TRUE(none.bundles().empty());
+    EXPECT_EQ(none.droppedBundles(), 1u);
 }
 
 // --- Monitor wiring ------------------------------------------------
@@ -757,7 +784,7 @@ TEST_F(FlightMonitorTest, MalformedLinesAreStillCaptured)
     auto monitor = makeMonitor(flightConfig());
     monitor->feedLine("not a log line");
     EXPECT_EQ(monitor->malformedLines(), 1u);
-    std::vector<obs::ContextLine> context =
+    std::vector<obs::ContextView> context =
         monitor->flightRecorder()->context();
     ASSERT_EQ(context.size(), 1u);
     EXPECT_EQ(context[0].node, "<malformed>");
@@ -795,6 +822,51 @@ TEST_F(FlightMonitorTest, ReportStreamMatchesGoldenFixture)
 
     std::string path = std::string(CLOUDSEER_SOURCE_DIR) +
                        "/tests/golden/report_stream.jsonl";
+    if (std::getenv("CLOUDSEER_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(path);
+        out << stream;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden fixture " << path;
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    EXPECT_EQ(stream, buffer.str());
+}
+
+TEST_F(FlightMonitorTest, BundleStreamMatchesGoldenFixture)
+{
+    // Latency, divergence and end-of-stream timeout bundles over two
+    // nodes, a quarantined line carrying quotes, a backslash, a tab
+    // and a control byte, and a ring that wraps between bundles: pins
+    // BUNDLE framing, the context order and every escape.
+    MonitorConfig config = flightConfig();
+    config.observability.flightRecorder.perNodeCapacity = 4;
+    config.latencyProfiles = {pingPongProfile()};
+    config.latencyCheck.quantile = 100;
+    config.latencyCheck.factor = 1.0;
+    config.latencyCheck.slackSeconds = 0.0;
+    auto monitor = makeMonitor(config);
+
+    auto onNode = [](logging::LogRecord r, const std::string &node) {
+        r.node = node;
+        return r;
+    };
+    monitor->feed(ping(1, 1.0));
+    monitor->feed(onNode(pong(1, 1.5), "compute-1"));   // accepted
+    monitor->feed(ping(2, 2.0));
+    monitor->feed(onNode(pong(2, 4.0), "compute-1"));   // anomalous
+    monitor->feedLine("garbage \"quoted\" \\ tab\there \x01 end");
+    monitor->feed(ping(3, 5.0));
+    monitor->feed(onNode(pong(4, 5.0), "compute-1"));   // unmatched
+    monitor->feed(record("svc-a", "exploded on " + uuid(3), 5.5,
+                         logging::LogLevel::Error));     // divergence
+    monitor->feed(ping(5, 6.0));                        // times out
+    monitor->finish();
+
+    std::string stream = monitor->forensicBundleJsonLines();
+    ASSERT_EQ(monitor->flightRecorder()->bundles().size(), 3u);
+    std::string path = std::string(CLOUDSEER_SOURCE_DIR) +
+                       "/tests/golden/bundle_stream.jsonl";
     if (std::getenv("CLOUDSEER_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(path);
         out << stream;

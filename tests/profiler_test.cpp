@@ -293,6 +293,26 @@ TEST(ProfilerTest, SamplesBusyLoopUnderItsStageTag)
                 1e-9);
 }
 
+TEST(ProfilerTest, FramesWithEscapesRoundTrip)
+{
+    // Symbol text is arbitrary bytes: every escape the JSON escaper
+    // writes (\r included) must read back to the same frame.
+    Profile profile;
+    profile.hz = 99;
+    profile.samples = 3;
+    ProfileStack stack;
+    stack.stage = ProfStage::Check;
+    stack.count = 3;
+    stack.frames = {"cr\rlf\ntab\t", "ctl\x01\x1f end",
+                    "say \"hi\" back\\slash", "operator()<char>"};
+    profile.stacks.push_back(stack);
+
+    Profile parsed;
+    ASSERT_TRUE(parseProfileJson(profile.toJson(), parsed));
+    ASSERT_EQ(parsed.stacks.size(), 1u);
+    EXPECT_EQ(parsed.stacks[0].frames, stack.frames);
+}
+
 TEST(ProfilerTest, ParseRejectsNonProfileDocuments)
 {
     Profile out;

@@ -21,6 +21,7 @@
 #include "common/http_server.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 #include "obs/pulse.hpp"
+#include "test_util.hpp"
 
 using namespace cloudseer;
 using namespace cloudseer::obs;
@@ -237,6 +238,31 @@ TEST(AlertEngineTest, CancelledPendingIsSilent)
     ASSERT_EQ(again.size(), 1u);
     EXPECT_EQ(again[0].state, "pending");
     EXPECT_DOUBLE_EQ(again[0].since, 50.0);
+}
+
+TEST(AlertEngineTest, ControlBytesInRuleNamesStayValidJson)
+{
+    // A rule named with quotes, a backslash and raw control bytes: the
+    // ALERT record, /alerts and /buildz documents must still parse.
+    AlertRule rule;
+    rule.name = "miss\x01\"rule\"\t\\\x1f";
+    rule.signal = PulseSignal::TemplateMissRate;
+    rule.threshold = 0.05;
+    AlertEngine engine({rule});
+    std::vector<AlertRecord> records =
+        engine.evaluate(ratesAt(1.0, rule.signal, 0.2));
+    ASSERT_FALSE(records.empty());
+    for (const AlertRecord &record : records) {
+        std::string json = record.toJson();
+        EXPECT_TRUE(testutil::StrictJson::valid(json)) << json;
+        EXPECT_NE(json.find("miss\\u0001\\\"rule\\\"\\t\\\\\\u001f"),
+                  std::string::npos)
+            << json;
+    }
+    std::string active = engine.activeJson(1.0);
+    EXPECT_TRUE(testutil::StrictJson::valid(active)) << active;
+    std::string build = buildInfoJson("v1\x02", "fp\r\x03", 2.0);
+    EXPECT_TRUE(testutil::StrictJson::valid(build)) << build;
 }
 
 TEST(AlertEngineTest, EwmaRuleEvaluatesTheSmoothedSeries)

@@ -7,6 +7,8 @@
 #ifndef CLOUDSEER_TESTS_TEST_UTIL_HPP
 #define CLOUDSEER_TESTS_TEST_UTIL_HPP
 
+#include <cctype>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -88,6 +90,184 @@ makeMessage(LetterCatalog &letters, const std::string &letter,
     message.level = level;
     return message;
 }
+
+/**
+ * Strict RFC 8259 recogniser: true when `text` is exactly one JSON
+ * value (surrounding whitespace allowed). Strings may not carry raw
+ * bytes below 0x20, which is what an escaper that passes control
+ * bytes through gets wrong.
+ */
+class StrictJson
+{
+  public:
+    static bool
+    valid(const std::string &text)
+    {
+        StrictJson parser(text);
+        parser.space();
+        if (!parser.value())
+            return false;
+        parser.space();
+        return parser.at == text.size();
+    }
+
+  private:
+    explicit StrictJson(const std::string &t) : text(t) {}
+
+    const std::string &text;
+    std::size_t at = 0;
+    int depth = 0;
+
+    bool more() const { return at < text.size(); }
+    char peek() const { return more() ? text[at] : '\0'; }
+
+    void
+    space()
+    {
+        while (more() && (text[at] == ' ' || text[at] == '\t' ||
+                          text[at] == '\r' || text[at] == '\n'))
+            ++at;
+    }
+
+    bool
+    literal(const char *word)
+    {
+        std::size_t n = std::strlen(word);
+        if (text.compare(at, n, word) != 0)
+            return false;
+        at += n;
+        return true;
+    }
+
+    bool
+    digits()
+    {
+        std::size_t start = at;
+        while (more() && text[at] >= '0' && text[at] <= '9')
+            ++at;
+        return at > start;
+    }
+
+    bool
+    number()
+    {
+        if (peek() == '-')
+            ++at;
+        if (peek() == '0')
+            ++at;
+        else if (!digits())
+            return false;
+        if (peek() == '.') {
+            ++at;
+            if (!digits())
+                return false;
+        }
+        if (peek() == 'e' || peek() == 'E') {
+            ++at;
+            if (peek() == '+' || peek() == '-')
+                ++at;
+            if (!digits())
+                return false;
+        }
+        return true;
+    }
+
+    bool
+    string()
+    {
+        if (peek() != '"')
+            return false;
+        ++at;
+        while (more()) {
+            unsigned char c = static_cast<unsigned char>(text[at++]);
+            if (c == '"')
+                return true;
+            if (c < 0x20)
+                return false;
+            if (c != '\\')
+                continue;
+            if (!more())
+                return false;
+            char e = text[at++];
+            if (e == 'u') {
+                for (int i = 0; i < 4; ++i, ++at) {
+                    if (!more() || !std::isxdigit(
+                                       static_cast<unsigned char>(text[at])))
+                        return false;
+                }
+            } else if (e == '\0' || std::strchr("\"\\/bfnrt", e) == nullptr) {
+                return false;
+            }
+        }
+        return false;
+    }
+
+    template <typename Element>
+    bool
+    sequence(char close, Element element)
+    {
+        ++at;
+        space();
+        if (peek() == close) {
+            ++at;
+            return true;
+        }
+        while (true) {
+            space();
+            if (!element())
+                return false;
+            space();
+            if (peek() == close) {
+                ++at;
+                return true;
+            }
+            if (peek() != ',')
+                return false;
+            ++at;
+        }
+    }
+
+    bool
+    value()
+    {
+        if (++depth > 256)
+            return false;
+        bool ok = false;
+        switch (peek()) {
+          case '{':
+            ok = sequence('}', [this] {
+                if (!string())
+                    return false;
+                space();
+                if (peek() != ':')
+                    return false;
+                ++at;
+                space();
+                return value();
+            });
+            break;
+          case '[':
+            ok = sequence(']', [this] { return value(); });
+            break;
+          case '"':
+            ok = string();
+            break;
+          case 't':
+            ok = literal("true");
+            break;
+          case 'f':
+            ok = literal("false");
+            break;
+          case 'n':
+            ok = literal("null");
+            break;
+          default:
+            ok = number();
+        }
+        --depth;
+        return ok;
+    }
+};
 
 } // namespace cloudseer::testutil
 
