@@ -206,14 +206,21 @@ BinReader::readString()
                   : std::string(p, static_cast<std::size_t>(length));
 }
 
+std::uint64_t
+BinReader::readCount(std::size_t element_bytes)
+{
+    std::uint64_t count = readU64();
+    if (failed || count > remaining() / element_bytes) {
+        failed = true;
+        return 0;
+    }
+    return count;
+}
+
 std::vector<std::uint32_t>
 BinReader::readU32Vector()
 {
-    std::uint64_t count = readU64();
-    if (failed || count > (input.size() - cursor) / 4) {
-        failed = true;
-        return {};
-    }
+    std::uint64_t count = readCount(4); // 0 once failed
     std::vector<std::uint32_t> out;
     out.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count && !failed; ++i)
@@ -224,11 +231,7 @@ BinReader::readU32Vector()
 std::vector<std::uint64_t>
 BinReader::readU64Vector()
 {
-    std::uint64_t count = readU64();
-    if (failed || count > (input.size() - cursor) / 8) {
-        failed = true;
-        return {};
-    }
+    std::uint64_t count = readCount(8); // 0 once failed
     std::vector<std::uint64_t> out;
     out.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count && !failed; ++i)

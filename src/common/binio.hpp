@@ -85,6 +85,10 @@ class BinReader
     std::vector<std::uint32_t> readU32Vector();
     std::vector<std::uint64_t> readU64Vector();
 
+    /** A u64 element count; fails the reader (and returns 0) when that
+     *  many elements of `element_bytes` each overrun the input. */
+    std::uint64_t readCount(std::size_t element_bytes);
+
     /** True until a read ran past the input or a prefix was absurd. */
     bool ok() const { return !failed; }
 

@@ -119,7 +119,7 @@ SampleStats::saveState(BinWriter &out) const
 bool
 SampleStats::restoreState(BinReader &in)
 {
-    std::uint64_t count = in.readU64();
+    std::uint64_t count = in.readCount(8);
     if (!in.ok())
         return false;
     std::vector<double> restored;

@@ -220,7 +220,7 @@ writeIntVector(common::BinWriter &out, const std::vector<int> &values)
 bool
 readIntVector(common::BinReader &in, std::vector<int> &values)
 {
-    std::uint64_t count = in.readU64();
+    std::uint64_t count = in.readCount(8);
     if (!in.ok())
         return false;
     values.clear();
@@ -274,7 +274,7 @@ AutomatonInstance::restoreState(common::BinReader &in)
         remainingPreds[i] = static_cast<int>(in.readI64());
     consumed_ = static_cast<std::size_t>(in.readU64());
     lastEvent = static_cast<int>(in.readI64());
-    std::uint64_t removed = in.readU64();
+    std::uint64_t removed = in.readCount(16);
     if (!in.ok())
         return false;
     removedList.clear();

@@ -174,7 +174,8 @@ AutomatonGroup::restoreState(
     const std::vector<const TaskAutomaton *> &automata)
 {
     groupId = in.readU64();
-    std::uint64_t candidate_count = in.readU64();
+    // Each candidate is at least its u32 index.
+    std::uint64_t candidate_count = in.readCount(4);
     if (!in.ok())
         return false;
     candidates.clear();
@@ -190,7 +191,7 @@ AutomatonGroup::restoreState(
             return false;
         candidates.push_back(std::move(instance));
     }
-    std::uint64_t message_count = in.readU64();
+    std::uint64_t message_count = in.readCount(20);
     if (!in.ok())
         return false;
     consumedMessages.clear();
@@ -206,7 +207,7 @@ AutomatonGroup::restoreState(
     creationTime = in.readF64();
     anyConsumed = in.readBool();
     parentId = in.readU64();
-    std::uint64_t child_count = in.readU64();
+    std::uint64_t child_count = in.readCount(8);
     if (!in.ok())
         return false;
     childIds.clear();

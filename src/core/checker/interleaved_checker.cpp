@@ -1364,7 +1364,7 @@ InterleavedChecker::restoreState(common::BinReader &in)
         return false;
     for (std::uint64_t i = 0; i < removal_tasks; ++i) {
         std::string name = in.readString();
-        std::uint64_t edge_count = in.readU64();
+        std::uint64_t edge_count = in.readCount(24);
         if (!in.ok())
             return false;
         auto &edges = removalCounts[name];
@@ -1401,7 +1401,7 @@ InterleavedChecker::restoreState(common::BinReader &in)
         indexAddSet(set_id, pos->second);
     }
 
-    std::uint64_t relation_count = in.readU64();
+    std::uint64_t relation_count = in.readCount(16);
     if (!in.ok())
         return false;
     for (std::uint64_t i = 0; i < relation_count; ++i) {

@@ -69,6 +69,7 @@ WorkflowMonitor::WorkflowMonitor(
         obsPtr =
             std::make_unique<obs::Observability>(config.observability);
         checker.setTracer(obsPtr->tracer());
+        stageClock = obsPtr->stageClock();
     }
 
     // seer-vault: cap the process-wide interner when asked. Only a
@@ -127,9 +128,8 @@ WorkflowMonitor::WorkflowMonitor(
     }
 
     // seer-pulse (DESIGN.md §16): build identity, the rate + alert
-    // engines, sampled stage timers, and — when a port is configured —
-    // the scrape endpoint. Placed after the lint gate so a rejected
-    // model never opens a socket.
+    // engines and, with a port, the scrape endpoint. Placed after the
+    // lint gate so a rejected model never opens a socket.
     if (obsPtr != nullptr) {
         std::ostringstream fp;
         fp << std::hex << modelFingerprint();
@@ -137,30 +137,6 @@ WorkflowMonitor::WorkflowMonitor(
     }
     if (config.pulse.enabled) {
         pulsePtr = std::make_unique<obs::PulseEngine>(config.pulse);
-        stageEvery = config.pulse.stageSampleEvery;
-        if (stageEvery > 0) {
-            obs::MetricsRegistry &reg = obsPtr->metrics();
-            stageSink = &reg.histogram(
-                "seer_stage_sink_us",
-                "sampled wire-decode stage latency, microseconds", -1,
-                6);
-            stageParse = &reg.histogram(
-                "seer_stage_parse_us",
-                "sampled parse+intern stage latency, microseconds", -1,
-                6);
-            stageRoute = &reg.histogram(
-                "seer_stage_route_us",
-                "sampled clock-guard+dedup stage latency, microseconds",
-                -1, 6);
-            stageCheck = &reg.histogram(
-                "seer_stage_check_us",
-                "sampled checking-engine stage latency, microseconds",
-                -1, 6);
-            stageVerdict = &reg.histogram(
-                "seer_stage_verdict_us",
-                "sampled verdict+shedding stage latency, microseconds",
-                -1, 6);
-        }
         if (config.pulse.httpPort >= 0) {
             pulseServer = std::make_unique<obs::TelemetryServer>(
                 config.pulse.httpBindAddress,
@@ -196,18 +172,11 @@ WorkflowMonitor::WorkflowMonitor(
 std::vector<MonitorReport>
 WorkflowMonitor::feed(const logging::LogRecord &record)
 {
-    // seer-probe: everything from arrival onward samples as "sink"
-    // unless an interior stage (parse/route/check/verdict) re-tags.
-    obs::StageScope profScope(obs::ProfStage::Sink);
+    // Everything from arrival onward is "sink" unless an interior
+    // stage (parse/route/check/verdict) re-tags. Outermost, this scope
+    // is the input the stage clock times (null sink: no clock read).
+    obs::StageScope profScope(obs::ProfStage::Sink, stageClock);
     std::vector<MonitorReport> reports;
-
-    // Feed-latency timing only exists when metrics are on; the
-    // null-sink path never reads a clock.
-    const bool timed =
-        obsPtr != nullptr && obsPtr->config().metrics;
-    std::chrono::steady_clock::time_point before;
-    if (timed)
-        before = std::chrono::steady_clock::now();
 
     // seer-flight: capture the raw line at arrival, before reordering
     // — a forensic context must show the stream as it actually came in.
@@ -225,12 +194,6 @@ WorkflowMonitor::feed(const logging::LogRecord &record)
         deliver(record, reports);
     captureBundles(reports);
 
-    if (timed) {
-        obsPtr->recordFeedLatency(
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - before)
-                .count());
-    }
     if (obsPtr != nullptr && obsPtr->snapshotDue(lastTimestamp)) {
         obsPtr->addSnapshot(healthSample());
         pulseStep();
@@ -287,23 +250,6 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
 {
     ++ingest.recordsDelivered;
 
-    // seer-pulse stage timers (DESIGN.md §16): one-in-N records
-    // measure each pipeline stage. Unsampled records (and every record
-    // when timers are off) see a single integer test.
-    using StageClock = std::chrono::steady_clock;
-    const bool staged =
-        stageEvery > 0 && (ingest.recordsDelivered - 1) % stageEvery == 0;
-    auto stageUs = [](StageClock::time_point from,
-                      StageClock::time_point to) {
-        return std::chrono::duration<double, std::micro>(to - from)
-            .count();
-    };
-    StageClock::time_point stageT0;
-    StageClock::time_point stageT1;
-    double routeAccUs = 0.0;
-    if (staged)
-        stageT0 = StageClock::now();
-
     // Timestamp guard. The stream can be slightly out of timestamp
     // order (shipping skew); the monitor clock never moves backwards.
     // With the clamp on, the *message* time is pinned to the clock
@@ -312,7 +258,7 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
     common::SimTime message_time = record.timestamp;
     common::SimTime now;
     {
-        obs::StageScope profScope(obs::ProfStage::Route);
+        obs::StageScope profScope(obs::ProfStage::Route, stageClock);
         if (record.timestamp < lastTimestamp) {
             ++ingest.nonMonotonicClamped;
             ingest.maxRegressionSeconds =
@@ -326,19 +272,13 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
         anyFed = true;
     }
 
-    if (staged) {
-        stageT1 = StageClock::now();
-        routeAccUs += stageUs(stageT0, stageT1);
-        stageT0 = stageT1;
-    }
-
     // The message and the scan buffers are members reused per record,
     // so a warm monitor allocates nothing between the record and the
     // checker.
     CheckMessage &message = scratchMessage;
     message.identifiers.clear();
     {
-        obs::StageScope profScope(obs::ProfStage::Parse);
+        obs::StageScope profScope(obs::ProfStage::Parse, stageClock);
         std::uint64_t templ_hash =
             extractor.scan(record.body, scratchTemplate, scratchVariables);
         message.tpl =
@@ -362,12 +302,6 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
         message.time = message_time;
     }
 
-    if (staged) {
-        stageT1 = StageClock::now();
-        stageParse->record(stageUs(stageT0, stageT1));
-        stageT0 = stageT1;
-    }
-
     // Near-duplicate suppression: an at-least-once shipper re-delivers
     // byte-identical lines, so the key is everything the checker would
     // see — keyed on the *original* stamp so a clamped re-delivery
@@ -376,7 +310,7 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
     // end up suppressed).
     bool suppressed = false;
     if (config.ingest.dedupWindowSeconds > 0.0) {
-        obs::StageScope profScope(obs::ProfStage::Route);
+        obs::StageScope profScope(obs::ProfStage::Route, stageClock);
         std::string key = record.node;
         key += '\x1f';
         key += record.service;
@@ -408,16 +342,8 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
         }
     }
 
-    // Route = clock guard + dedup: the two spans that decide where and
-    // whether the message goes, with the parse sandwiched between them.
-    if (staged) {
-        stageT1 = StageClock::now();
-        stageRoute->record(routeAccUs + stageUs(stageT0, stageT1));
-        stageT0 = stageT1;
-    }
-
     {
-        obs::StageScope profScope(obs::ProfStage::Check);
+        obs::StageScope profScope(obs::ProfStage::Check, stageClock);
         for (CheckEvent &event : checker.sweepTimeouts(
                  now, [this](const std::vector<std::string> &tasks) {
                      return timeoutPolicy.timeoutForCandidates(tasks);
@@ -429,16 +355,11 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
                 reports.push_back({std::move(event), false});
         }
     }
-    if (staged) {
-        stageT1 = StageClock::now();
-        stageCheck->record(stageUs(stageT0, stageT1));
-        stageT0 = stageT1;
-    }
     if (suppressed)
         return;
 
     {
-        obs::StageScope profScope(obs::ProfStage::Verdict);
+        obs::StageScope profScope(obs::ProfStage::Verdict, stageClock);
         // Group-cap shedding: bound live state, loudly.
         if (config.ingest.maxActiveGroups > 0 &&
             checker.activeGroups() > config.ingest.maxActiveGroups) {
@@ -465,34 +386,17 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
             }
         }
     }
-
-    if (staged)
-        stageVerdict->record(stageUs(stageT0, StageClock::now()));
 }
 
 std::vector<MonitorReport>
 WorkflowMonitor::feedLine(const std::string &line)
 {
-    obs::StageScope profScope(obs::ProfStage::Sink);
+    // The wire decode is sink time of the same input feed() goes on.
+    obs::StageScope profScope(obs::ProfStage::Sink, stageClock);
     ++ingest.linesSeen;
-
-    // Sink stage: the wire decode, sampled on the line counter (the
-    // record counter has not been assigned yet).
-    const bool staged =
-        stageEvery > 0 && (ingest.linesSeen - 1) % stageEvery == 0;
-    std::chrono::steady_clock::time_point sinkStart;
-    if (staged)
-        sinkStart = std::chrono::steady_clock::now();
 
     logging::DecodeFailure why = logging::DecodeFailure::None;
     auto record = logging::decodeLogLine(line, &why);
-
-    if (staged) {
-        stageSink->record(std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() -
-                              sinkStart)
-                              .count());
-    }
     if (!record) {
         switch (why) {
           case logging::DecodeFailure::BadTimestamp:
@@ -618,16 +522,14 @@ WorkflowMonitor::healthSample() const
     s.timeoutResolutions = timeoutPolicy.resolutions;
     s.timeoutDefaultFallbacks = timeoutPolicy.defaultFallbacks;
 
-    if (obsPtr != nullptr && obsPtr->feedLatency() != nullptr) {
-        const obs::Histogram &latency = *obsPtr->feedLatency();
+    if (stageClock != nullptr) {
+        const obs::Histogram &latency = stageClock->total();
         s.feedP50us = latency.percentile(50.0);
         s.feedP90us = latency.percentile(90.0);
         s.feedP99us = latency.percentile(99.0);
         s.feedMaxUs = latency.maxSeen();
-    }
-    if (obsPtr != nullptr) {
         if (const obs::Histogram *wal =
-                obsPtr->walAppendLatencyIfAny()) {
+                stageClock->laps(obs::ProfStage::WalAppend)) {
             s.walAppendP50us = wal->percentile(50.0);
             s.walAppendP99us = wal->percentile(99.0);
         }

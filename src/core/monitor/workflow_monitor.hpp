@@ -498,14 +498,8 @@ class WorkflowMonitor
     // seer-probe (DESIGN.md §17); null when profiling is off.
     std::unique_ptr<obs::Profiler> profPtr;
 
-    // Sampled per-stage pipeline timers (sink→parse→route→check→
-    // verdict); all null unless pulse.stageSampleEvery > 0.
-    obs::Histogram *stageSink = nullptr;
-    obs::Histogram *stageParse = nullptr;
-    obs::Histogram *stageRoute = nullptr;
-    obs::Histogram *stageCheck = nullptr;
-    obs::Histogram *stageVerdict = nullptr;
-    std::size_t stageEvery = 0;
+    /** The pipeline's stage clock (DESIGN.md §16); null = untimed. */
+    obs::StageClock *stageClock = nullptr;
 
     common::SimTime lastTimestamp = 0.0;
     bool anyFed = false;

@@ -6,6 +6,9 @@ namespace cloudseer::obs {
 
 namespace {
 
+/** A health sample's checkpoint image: 44 eight-byte fields. */
+constexpr std::size_t kHealthSampleBytes = 44 * 8;
+
 std::string
 formatNumber(double value)
 {
@@ -166,10 +169,21 @@ Observability::Observability(const ObsConfig &config)
     : cfg(config), startedAt(std::chrono::steady_clock::now())
 {
     if (cfg.metrics) {
-        // Feed latencies span sub-microsecond to seconds: 0.1us..1s.
-        feedLatencyHist = &registry.histogram(
+        // Inputs and stages span sub-microsecond to seconds: 0.1us..1s.
+        clockPtr = std::make_unique<StageClock>(registry.histogram(
             "seer_feed_latency_us",
-            "per-record monitor feed latency, microseconds", -1, 6);
+            "per-input monitor feed latency, microseconds", -1, 6));
+        for (ProfStage stage : {ProfStage::Sink, ProfStage::Parse,
+                                ProfStage::Route, ProfStage::Check,
+                                ProfStage::Verdict}) {
+            std::string name = profStageName(stage);
+            clockPtr->laps(stage) = &registry.histogram(
+                "seer_stage_" + name + "_us",
+                "time one input in " +
+                    std::to_string(StageClock::kLapEvery) +
+                    " spends in the " + name + " stage, microseconds",
+                -1, 6);
+        }
     }
     if (cfg.flightRecorder.enabled())
         flightPtr = std::make_unique<FlightRecorder>(cfg.flightRecorder);
@@ -189,26 +203,20 @@ Observability::Observability(const ObsConfig &config)
     }
 }
 
-void
-Observability::recordFeedLatency(double micros)
-{
-    if (feedLatencyHist != nullptr)
-        feedLatencyHist->record(micros);
-}
-
 Histogram *
 Observability::walAppendLatency()
 {
-    if (!cfg.metrics)
+    if (clockPtr == nullptr)
         return nullptr;
-    if (walHist == nullptr) {
+    Histogram *&wal = clockPtr->laps(ProfStage::WalAppend);
+    if (wal == nullptr) {
         // Group-committed appends span sub-microsecond (coalesced)
         // to milliseconds (fsync'd): 0.1us..1s.
-        walHist = &registry.histogram(
+        wal = &registry.histogram(
             "seer_wal_append_us",
             "vault ledger append latency, microseconds", -1, 6);
     }
-    return walHist;
+    return wal;
 }
 
 void
@@ -378,12 +386,15 @@ Observability::snapshotJsonLines() const
 void
 Observability::saveState(common::BinWriter &out) const
 {
-    out.writeBool(feedLatencyHist != nullptr);
-    if (feedLatencyHist != nullptr)
-        feedLatencyHist->saveState(out);
-    out.writeBool(walHist != nullptr);
-    if (walHist != nullptr)
-        walHist->saveState(out);
+    const Histogram *feed = clockPtr ? &clockPtr->total() : nullptr;
+    const Histogram *wal =
+        feed == nullptr ? nullptr : clockPtr->laps(ProfStage::WalAppend);
+    out.writeBool(feed != nullptr);
+    if (feed != nullptr)
+        feed->saveState(out);
+    out.writeBool(wal != nullptr);
+    if (wal != nullptr)
+        wal->saveState(out);
     out.writeU64(history.size());
     for (const HealthSample &sample : history)
         sample.saveState(out);
@@ -395,11 +406,11 @@ bool
 Observability::restoreState(common::BinReader &in)
 {
     bool has_hist = in.readBool();
-    if (!in.ok() || has_hist != (feedLatencyHist != nullptr)) {
+    if (!in.ok() || has_hist != (clockPtr != nullptr)) {
         in.fail();
         return false;
     }
-    if (has_hist && !feedLatencyHist->restoreState(in))
+    if (has_hist && !clockPtr->total().restoreState(in))
         return false;
     bool has_wal = in.readBool();
     if (!in.ok())
@@ -413,7 +424,7 @@ Observability::restoreState(common::BinReader &in)
             return false;
         }
     }
-    std::uint64_t sample_count = in.readU64();
+    std::uint64_t sample_count = in.readCount(kHealthSampleBytes);
     if (!in.ok())
         return false;
     history.clear();

@@ -28,6 +28,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 
 namespace cloudseer::obs {
@@ -35,7 +36,7 @@ namespace cloudseer::obs {
 /** Observability knobs. Every default is off (the null sink). */
 struct ObsConfig
 {
-    /** Maintain the metric registry and feed-latency histogram. */
+    /** Maintain the metric registry and the stage clock. */
     bool metrics = false;
 
     /** Record per-execution spans (implies their histograms). */
@@ -157,20 +158,20 @@ class Observability
     FlightRecorder *flight() { return flightPtr.get(); }
     const FlightRecorder *flight() const { return flightPtr.get(); }
 
-    /** Record one feed's processing latency (microseconds). */
-    void recordFeedLatency(double micros);
-
-    /** Feed-latency histogram (null when metrics are off). */
-    const Histogram *feedLatency() const { return feedLatencyHist; }
+    /**
+     * The stage clock the monitor's StageScopes time against (null
+     * when metrics are off): seer_feed_latency_us takes every input's
+     * total, seer_stage_<stage>_us the sink..verdict laps.
+     */
+    StageClock *stageClock() const { return clockPtr.get(); }
 
     /**
-     * WAL append-latency histogram, created on first request (null
-     * when metrics are off). VaultedMonitor requests it at
-     * construction so a vaulted instrumented monitor always exposes
-     * seer_wal_append_us; bare monitors never create it.
+     * Time WalAppend laps into seer_wal_append_us, created on first
+     * request (null when metrics are off). VaultedMonitor requests it
+     * at construction so a vaulted instrumented monitor always exposes
+     * it; bare monitors never create it.
      */
     Histogram *walAppendLatency();
-    const Histogram *walAppendLatencyIfAny() const { return walHist; }
 
     /**
      * Identify this build in exposition (seer_build_info,
@@ -229,8 +230,7 @@ class Observability
     MetricsRegistry registry;
     std::unique_ptr<ExecutionTracer> tracerPtr;
     std::unique_ptr<FlightRecorder> flightPtr;
-    Histogram *feedLatencyHist = nullptr;
-    Histogram *walHist = nullptr;
+    std::unique_ptr<StageClock> clockPtr; ///< histograms in `registry`
     std::vector<HealthSample> history;
     double lastSnapshotTime = 0.0;
     bool anySnapshot = false;

@@ -20,6 +20,11 @@
  * (pinned by tests/profiler_test and the `bench_throughput --profile`
  * digest gate).
  *
+ * The same markers are the monitor's one stage clock: given a
+ * `StageClock`, a scope also times itself, so `/metrics` and
+ * `/profilez` attribute the same code to the same stage (DESIGN.md
+ * §16).
+ *
  * Optional allocation attribution (per-stage byte/count tallies via
  * global operator-new hooks) is compiled out by default; configure
  * with -DCLOUDSEER_PROFILE_ALLOC=ON to enable it.
@@ -63,25 +68,86 @@ namespace detail {
 extern thread_local volatile std::uint32_t tlsStageWord;
 } // namespace detail
 
+class Histogram;
+
+/**
+ * A monitor's stage clock (DESIGN.md §16): the one place the ingest
+ * path reads the time. The outermost Sink scope naming the clock opens
+ * an *input*, timed on every input into `total()`. On one input in
+ * kLapEvery every scope inside it is timed too: its self time (elapsed
+ * minus its nested scopes': the profiler's innermost-wins rule) is
+ * charged to its stage, and when the input closes each stage it
+ * entered records its summed lap. Scopes outside an input only tag.
+ * Single-threaded, like its monitor.
+ */
+class StageClock
+{
+  public:
+    /** Stage laps are timed on one input in this many. */
+    static constexpr std::uint64_t kLapEvery = 64;
+
+    explicit StageClock(Histogram &total) : total_(&total) {}
+
+    /** Every input's total, microseconds. */
+    Histogram &total() const { return *total_; }
+
+    /** Where `stage`'s laps go: null (the default) leaves it untimed. */
+    Histogram *&laps(ProfStage stage)
+    {
+        return laps_[static_cast<std::size_t>(stage)];
+    }
+
+  private:
+    friend class StageScope;
+
+    Histogram *total_;
+    std::array<Histogram *, kProfStageCount> laps_{};
+    std::array<std::int64_t, kProfStageCount> lapNs_{}; ///< this input's
+    std::uint32_t visited_ = 0; ///< stages entered this input, a bit each
+    std::int64_t nestedNs_ = 0; ///< closed scopes inside the open one
+    std::uint64_t inputs_ = 0;
+    bool open_ = false;    ///< an input is in progress
+    bool lapping_ = false; ///< ... and its stages are being timed
+};
+
 /**
  * RAII stage marker: two TLS stores per scope (save + set, restore on
  * exit), cheap enough to sit unconditionally on the hot path. Scopes
- * nest; the innermost wins.
+ * nest; the innermost wins. With a clock, the scope also times itself
+ * as `StageClock` describes; it reads no clock otherwise.
  */
 class StageScope
 {
 public:
-    explicit StageScope(ProfStage stage) noexcept
-        : saved_(detail::tlsStageWord)
+    explicit StageScope(ProfStage stage,
+                        StageClock *clock = nullptr) noexcept
+        : saved_(detail::tlsStageWord), stage_(stage)
     {
         detail::tlsStageWord = static_cast<std::uint32_t>(stage);
+        if (clock != nullptr &&
+            (clock->lapping_ ||
+             (!clock->open_ && stage == ProfStage::Sink)))
+            start(*clock);
     }
-    ~StageScope() { detail::tlsStageWord = saved_; }
+    ~StageScope()
+    {
+        if (clock_ != nullptr)
+            stop();
+        detail::tlsStageWord = saved_;
+    }
     StageScope(const StageScope &) = delete;
     StageScope &operator=(const StageScope &) = delete;
 
 private:
+    void start(StageClock &clock) noexcept;
+    void stop() noexcept;
+
     std::uint32_t saved_;
+    ProfStage stage_;
+    bool opensInput_ = false;
+    StageClock *clock_ = nullptr; ///< set only while this scope times
+    std::int64_t outerNestedNs_ = 0;
+    std::chrono::steady_clock::time_point entered_{};
 };
 
 /** The calling thread's active stage tag. */

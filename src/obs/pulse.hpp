@@ -231,12 +231,6 @@ struct PulseConfig
     /** Dedicated alert log (JSONL, appended); "" = off. */
     std::string alertLogPath;
 
-    /**
-     * Sample one in this many records through the per-stage pipeline
-     * timers (sink→parse→route→check→verdict); 0 = timers off.
-     */
-    std::size_t stageSampleEvery = 0;
-
     bool enabledAny() const { return enabled; }
 };
 

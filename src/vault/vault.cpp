@@ -4,7 +4,6 @@
 #include <filesystem>
 
 #include "logging/record_binio.hpp"
-#include "obs/profiler.hpp"
 
 namespace cloudseer::vault {
 
@@ -177,9 +176,10 @@ WriteAheadLedger::sealFrame(std::size_t start)
 }
 
 void
-WriteAheadLedger::appendLine(std::uint64_t seq, const std::string &line)
+WriteAheadLedger::appendLine(std::uint64_t seq, const std::string &line,
+                             obs::StageClock *clock)
 {
-    obs::StageScope profScope(obs::ProfStage::WalAppend);
+    obs::StageScope profScope(obs::ProfStage::WalAppend, clock);
     // Raw lines are the ingest hot path: frame straight into the
     // pending batch — header placeholder first, patched by sealFrame
     // once the payload is in place — so each append is one CRC pass
@@ -200,9 +200,10 @@ WriteAheadLedger::appendLine(std::uint64_t seq, const std::string &line)
 
 void
 WriteAheadLedger::appendRecord(std::uint64_t seq,
-                               const logging::LogRecord &record)
+                               const logging::LogRecord &record,
+                               obs::StageClock *clock)
 {
-    obs::StageScope profScope(obs::ProfStage::WalAppend);
+    obs::StageScope profScope(obs::ProfStage::WalAppend, clock);
     scratch.clear();
     scratch.writeU8(static_cast<std::uint8_t>(LedgerEntry::Record));
     scratch.writeU64(seq);

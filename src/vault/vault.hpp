@@ -42,6 +42,7 @@
 
 #include "common/binio.hpp"
 #include "logging/log_record.hpp"
+#include "obs/profiler.hpp"
 
 namespace cloudseer::vault {
 
@@ -163,12 +164,14 @@ class WriteAheadLedger
      */
     bool open();
 
-    /** Append one raw wire line under the given sequence. */
-    void appendLine(std::uint64_t seq, const std::string &line);
+    /** Append one raw wire line under the given sequence; with a
+     *  stage clock, the append is a WalAppend lap of its input. */
+    void appendLine(std::uint64_t seq, const std::string &line,
+                    obs::StageClock *clock = nullptr);
 
-    /** Append one record under the given sequence. */
-    void appendRecord(std::uint64_t seq,
-                      const logging::LogRecord &record);
+    /** Append one record under the given sequence (clock as above). */
+    void appendRecord(std::uint64_t seq, const logging::LogRecord &record,
+                      obs::StageClock *clock = nullptr);
 
     /** Write the pending batch to the OS now. */
     void flush();

@@ -1,24 +1,10 @@
 #include "vault/vaulted_monitor.hpp"
 
-#include <chrono>
 #include <filesystem>
 
 #include "logging/identifier_interner.hpp"
 
 namespace cloudseer::vault {
-
-namespace {
-
-/** Microseconds elapsed since `from` (WAL append timing). */
-double
-microsSince(std::chrono::steady_clock::time_point from)
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - from)
-        .count();
-}
-
-} // namespace
 
 VaultedMonitor::VaultedMonitor(
     VaultConfig vault_config,
@@ -148,57 +134,54 @@ VaultedMonitor::resetMonitor()
 {
     monitorPtr = std::make_unique<core::WorkflowMonitor>(
         monitorConfig, catalogPtr, specs);
-    // seer-pulse: request the WAL append-latency histogram up front so
-    // every vaulted instrumented monitor exposes seer_wal_append_us
-    // and checkpoint save/restore shapes agree across processes. The
-    // registry hands back a stable pointer; restores refill it in
-    // place. Null (and appends untimed) when metrics are off.
-    walLatency = monitorPtr->observability() == nullptr
-                     ? nullptr
-                     : monitorPtr->observability()->walAppendLatency();
-    walTick = 0;
+    // seer-pulse: time WAL appends up front so every vaulted
+    // instrumented monitor exposes seer_wal_append_us and checkpoint
+    // save/restore shapes agree across processes. Null (and nothing
+    // timed) when metrics are off.
+    obs::Observability *sinks = monitorPtr->observability();
+    stageClock = sinks == nullptr ? nullptr : sinks->stageClock();
+    if (sinks != nullptr)
+        sinks->walAppendLatency();
+}
+
+template <typename Append, typename Feed>
+std::vector<core::MonitorReport>
+VaultedMonitor::ledgered(Append append, Feed feed)
+{
+    if (!config.enabled()) {
+        return feed();
+    }
+    std::vector<core::MonitorReport> reports;
+    {
+        // One input on the stage clock: the append is its WalAppend
+        // lap, the monitor's stages the rest.
+        obs::StageScope input(obs::ProfStage::Sink, stageClock);
+        append();
+        reports = feed();
+    }
+    ++tallies.walAppends;
+    ++inputsSinceCheckpoint;
+    if (config.checkpointEveryRecords > 0 &&
+        inputsSinceCheckpoint >= config.checkpointEveryRecords) {
+        checkpoint();
+    }
+    return reports;
 }
 
 std::vector<core::MonitorReport>
 VaultedMonitor::feed(const logging::LogRecord &record)
 {
-    if (!config.enabled()) {
-        return monitorPtr->feed(record);
-    }
-    const bool timed = walLatency != nullptr && walTick++ % 8 == 0;
-    std::chrono::steady_clock::time_point before;
-    if (timed)
-        before = std::chrono::steady_clock::now();
-    ledger->appendRecord(++nextSeq, record);
-    if (timed)
-        walLatency->record(microsSince(before));
-    ++tallies.walAppends;
-    ++inputsSinceCheckpoint;
-    std::vector<core::MonitorReport> reports =
-        monitorPtr->feed(record);
-    maybeCheckpoint();
-    return reports;
+    return ledgered(
+        [&] { ledger->appendRecord(++nextSeq, record, stageClock); },
+        [&] { return monitorPtr->feed(record); });
 }
 
 std::vector<core::MonitorReport>
 VaultedMonitor::feedLine(const std::string &line)
 {
-    if (!config.enabled()) {
-        return monitorPtr->feedLine(line);
-    }
-    const bool timed = walLatency != nullptr && walTick++ % 8 == 0;
-    std::chrono::steady_clock::time_point before;
-    if (timed)
-        before = std::chrono::steady_clock::now();
-    ledger->appendLine(++nextSeq, line);
-    if (timed)
-        walLatency->record(microsSince(before));
-    ++tallies.walAppends;
-    ++inputsSinceCheckpoint;
-    std::vector<core::MonitorReport> reports =
-        monitorPtr->feedLine(line);
-    maybeCheckpoint();
-    return reports;
+    return ledgered(
+        [&] { ledger->appendLine(++nextSeq, line, stageClock); },
+        [&] { return monitorPtr->feedLine(line); });
 }
 
 std::vector<core::MonitorReport>
@@ -243,15 +226,6 @@ VaultedMonitor::checkpoint()
     tallies.lastCheckpointBytes = bytes;
     inputsSinceCheckpoint = 0;
     return ledger->rotate();
-}
-
-void
-VaultedMonitor::maybeCheckpoint()
-{
-    if (config.checkpointEveryRecords > 0 &&
-        inputsSinceCheckpoint >= config.checkpointEveryRecords) {
-        checkpoint();
-    }
 }
 
 VaultStats

@@ -135,11 +135,8 @@ class VaultedMonitor
     std::uint64_t nextSeq = 0; ///< seq of the last ledgered input
     std::uint64_t inputsSinceCheckpoint = 0;
 
-    // seer-pulse (DESIGN.md §16): sampled ledger append latency, fed
-    // into the monitor's seer_wal_append_us histogram. Null unless the
-    // wrapped monitor has metrics on.
-    obs::Histogram *walLatency = nullptr;
-    std::uint64_t walTick = 0; ///< 1-in-8 sampling counter
+    /** The monitor's stage clock, timing appends too; null = untimed. */
+    obs::StageClock *stageClock = nullptr;
 
     /** Restore checkpoint + replay tail; fills recoverInfo. */
     void recover();
@@ -147,8 +144,10 @@ class VaultedMonitor
     /** Rebuild a fresh monitor from the construction inputs. */
     void resetMonitor();
 
-    /** Checkpoint when the cadence knob says so. */
-    void maybeCheckpoint();
+    /** Ledger one input (`append`), feed it to the monitor (`feed`)
+     *  and checkpoint when the cadence knob says so. */
+    template <typename Append, typename Feed>
+    std::vector<core::MonitorReport> ledgered(Append append, Feed feed);
 };
 
 } // namespace cloudseer::vault

@@ -1,0 +1,258 @@
+/**
+ * @file
+ * Checkpoint decoders refuse crafted element counts. Every count read
+ * from an image is bounded by the bytes left (BinReader::readCount),
+ * so a huge count inside otherwise valid framing fails the restore:
+ * it neither throws from a reservation nor loops for as long as the
+ * count says. Each case builds its image twice, once with a count of
+ * zero (accepted: the framing is valid) and once with 2^60 (refused).
+ */
+
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+
+#include "common/binio.hpp"
+#include "common/stats.hpp"
+#include "core/automaton/automaton_instance.hpp"
+#include "core/checker/automaton_group.hpp"
+#include "core/checker/interleaved_checker.hpp"
+#include "obs/observability.hpp"
+
+using namespace cloudseer;
+
+namespace {
+
+constexpr std::uint64_t kHuge = 1ull << 60;
+
+using Craft = std::function<void(common::BinWriter &, std::uint64_t)>;
+using Restore = std::function<bool(common::BinReader &)>;
+
+/** True when the image `craft` writes around `count` restores. A
+ *  throwing restore fails the test. */
+bool
+restores(const Craft &craft, std::uint64_t count, const Restore &restore)
+{
+    common::BinWriter out;
+    craft(out, count);
+    common::BinReader in(out.bytes());
+    bool ok = false;
+    EXPECT_NO_THROW(ok = restore(in)) << "count " << count;
+    return ok && in.ok();
+}
+
+void
+expectOnlyTheHugeCountRefused(const Craft &craft, const Restore &restore)
+{
+    EXPECT_TRUE(restores(craft, 0, restore));
+    EXPECT_FALSE(restores(craft, kHuge, restore));
+}
+
+/** The two-event chain a → b every automaton image refers to. */
+const core::TaskAutomaton &
+chain()
+{
+    static const core::TaskAutomaton automaton(
+        "chain", {{1, 0}, {2, 0}}, {{0, 1, true}});
+    return automaton;
+}
+
+/** An instance of chain() up to its removed-edge count. */
+void
+writeInstanceHead(common::BinWriter &out)
+{
+    out.writeU64(2); // events
+    out.writeU8(0);  // done
+    out.writeU8(0);
+    out.writeF64(0.0); // when
+    out.writeF64(0.0);
+    out.writeI64(0); // remaining predecessors
+    out.writeI64(1);
+    out.writeU64(0);  // consumed
+    out.writeI64(-1); // last event
+}
+
+/** A group's fields after its consumed messages, through the end. */
+void
+writeGroupTail(common::BinWriter &out, std::uint64_t children)
+{
+    out.writeF64(1.0); // last activity
+    out.writeF64(0.5); // creation
+    out.writeBool(false);
+    out.writeU64(0); // parent
+    out.writeU64(children);
+    out.writeU64(0); // rival set
+    out.writeBool(false);
+}
+
+/** A checker's fields after its groups, through the end. */
+void
+writeCheckerTail(common::BinWriter &out, std::uint64_t removal_edges,
+                 std::uint64_t relations)
+{
+    out.writeU64(1); // tasks with removal tallies
+    out.writeString("chain");
+    out.writeU64(removal_edges);
+    out.writeU64(0); // identifier sets
+    out.writeU64(relations);
+    out.writeU64(1); // next group id
+    out.writeU64(1); // next identifier-set id
+    out.writeU64(1); // next rival set
+    out.writeF64(0.0);
+}
+
+bool
+restoreInstance(common::BinReader &in)
+{
+    core::AutomatonInstance instance(&chain());
+    return instance.restoreState(in);
+}
+
+bool
+restoreGroup(common::BinReader &in)
+{
+    core::AutomatonGroup group(0, {&chain()});
+    return group.restoreState(in, {&chain()});
+}
+
+bool
+restoreChecker(common::BinReader &in)
+{
+    core::InterleavedChecker checker(core::CheckerConfig{}, {&chain()});
+    return checker.restoreState(in);
+}
+
+} // namespace
+
+TEST(CraftedImageTest, ReadCountIsBoundedByTheBytesLeft)
+{
+    common::BinWriter out;
+    out.writeU64(2);
+    out.writeU64(7);
+    out.writeU64(9);
+    common::BinReader fits(out.bytes());
+    EXPECT_EQ(fits.readCount(8), 2u);
+    EXPECT_TRUE(fits.ok());
+
+    common::BinReader too_many(out.bytes());
+    EXPECT_EQ(too_many.readCount(9), 0u);
+    EXPECT_FALSE(too_many.ok());
+}
+
+TEST(CraftedImageTest, SampleStatsRefusesHugeSampleCount)
+{
+    expectOnlyTheHugeCountRefused(
+        [](common::BinWriter &out, std::uint64_t count) {
+            out.writeU64(count);
+            out.writeF64(0.0); // total
+        },
+        [](common::BinReader &in) {
+            common::SampleStats stats;
+            return stats.restoreState(in);
+        });
+}
+
+TEST(CraftedImageTest, InstanceRefusesHugeRemovedEdgeCount)
+{
+    expectOnlyTheHugeCountRefused(
+        [](common::BinWriter &out, std::uint64_t count) {
+            writeInstanceHead(out);
+            out.writeU64(count);
+            out.writeBool(false); // no own adjacency
+        },
+        restoreInstance);
+}
+
+TEST(CraftedImageTest, InstanceRefusesHugeAdjacencyCount)
+{
+    expectOnlyTheHugeCountRefused(
+        [](common::BinWriter &out, std::uint64_t count) {
+            writeInstanceHead(out);
+            out.writeU64(0);     // removed edges
+            out.writeBool(true); // own adjacency follows
+            out.writeU64(count); // the first predecessor list
+            for (int list = 1; list < 4; ++list)
+                out.writeU64(0);
+        },
+        restoreInstance);
+}
+
+TEST(CraftedImageTest, GroupRefusesHugeCandidateCount)
+{
+    expectOnlyTheHugeCountRefused(
+        [](common::BinWriter &out, std::uint64_t count) {
+            out.writeU64(7); // group id
+            out.writeU64(count);
+            out.writeU64(0); // consumed messages
+            writeGroupTail(out, 0);
+        },
+        restoreGroup);
+}
+
+TEST(CraftedImageTest, GroupRefusesHugeMessageCount)
+{
+    expectOnlyTheHugeCountRefused(
+        [](common::BinWriter &out, std::uint64_t count) {
+            out.writeU64(7);
+            out.writeU64(0); // candidates
+            out.writeU64(count);
+            writeGroupTail(out, 0);
+        },
+        restoreGroup);
+}
+
+TEST(CraftedImageTest, GroupRefusesHugeChildCount)
+{
+    expectOnlyTheHugeCountRefused(
+        [](common::BinWriter &out, std::uint64_t count) {
+            out.writeU64(7);
+            out.writeU64(0);
+            out.writeU64(0);
+            writeGroupTail(out, count);
+        },
+        restoreGroup);
+}
+
+TEST(CraftedImageTest, CheckerRefusesHugeRemovalEdgeCount)
+{
+    expectOnlyTheHugeCountRefused(
+        [](common::BinWriter &out, std::uint64_t count) {
+            for (int counter = 0; counter < 15; ++counter)
+                out.writeU64(0);
+            out.writeU64(0); // groups
+            writeCheckerTail(out, count, 0);
+        },
+        restoreChecker);
+}
+
+TEST(CraftedImageTest, CheckerRefusesHugeRelationCount)
+{
+    expectOnlyTheHugeCountRefused(
+        [](common::BinWriter &out, std::uint64_t count) {
+            for (int counter = 0; counter < 15; ++counter)
+                out.writeU64(0);
+            out.writeU64(0);
+            writeCheckerTail(out, 0, count);
+        },
+        restoreChecker);
+}
+
+TEST(CraftedImageTest, ObservabilityRefusesHugeHistoryCount)
+{
+    obs::ObsConfig config;
+    config.metrics = true;
+    expectOnlyTheHugeCountRefused(
+        [](common::BinWriter &out, std::uint64_t count) {
+            out.writeBool(true); // feed-latency histogram
+            obs::Histogram(-1, 6).saveState(out);
+            out.writeBool(false); // no WAL histogram
+            out.writeU64(count);
+            out.writeF64(0.0); // last snapshot time
+            out.writeBool(false);
+        },
+        [&config](common::BinReader &in) {
+            obs::Observability sinks(config);
+            return sinks.restoreState(in);
+        });
+}

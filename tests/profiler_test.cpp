@@ -20,11 +20,13 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/http_server.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 #include "logging/template_catalog.hpp"
+#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
 using namespace cloudseer;
@@ -85,6 +87,98 @@ TEST(StageScopeTest, StageNamesAreStable)
     EXPECT_STREQ(profStageName(ProfStage::Check), "check");
     EXPECT_STREQ(profStageName(ProfStage::Verdict), "verdict");
     EXPECT_STREQ(profStageName(ProfStage::WalAppend), "wal_append");
+}
+
+// --- the stage clock ----------------------------------------------------
+
+namespace {
+
+/** A stage clock over free-standing histograms, every stage timed. */
+struct ClockRig
+{
+    Histogram total{-1, 6};
+    std::vector<Histogram> laps =
+        std::vector<Histogram>(kProfStageCount, Histogram(-1, 6));
+    StageClock clock{total};
+
+    ClockRig()
+    {
+        for (int stage = 1; stage < kProfStageCount; ++stage)
+            clock.laps(static_cast<ProfStage>(stage)) =
+                &laps[static_cast<std::size_t>(stage)];
+    }
+
+    Histogram &
+    lap(ProfStage stage)
+    {
+        return laps[static_cast<std::size_t>(stage)];
+    }
+
+    double
+    lapSum()
+    {
+        double sum = 0.0;
+        for (const Histogram &h : laps)
+            sum += h.sum();
+        return sum;
+    }
+};
+
+} // namespace
+
+TEST(StageClockTest, InnermostScopeTakesTheTime)
+{
+    using std::chrono::milliseconds;
+    ClockRig rig;
+    {
+        StageScope input(ProfStage::Sink, &rig.clock);
+        std::this_thread::sleep_for(milliseconds(2));
+        {
+            StageScope check(ProfStage::Check, &rig.clock);
+            EXPECT_EQ(currentProfStage(), ProfStage::Check);
+            std::this_thread::sleep_for(milliseconds(5));
+            StageScope verdict(ProfStage::Verdict, &rig.clock);
+            std::this_thread::sleep_for(milliseconds(1));
+        }
+    }
+    EXPECT_EQ(currentProfStage(), ProfStage::None);
+    ASSERT_EQ(rig.total.count(), 1u);
+    EXPECT_EQ(rig.lap(ProfStage::Sink).count(), 1u);
+    EXPECT_EQ(rig.lap(ProfStage::Check).count(), 1u);
+    EXPECT_EQ(rig.lap(ProfStage::Verdict).count(), 1u);
+    EXPECT_EQ(rig.lap(ProfStage::Parse).count(), 0u);
+    // Each stage holds its own time only, never its nested stages'.
+    EXPECT_GE(rig.lap(ProfStage::Sink).sum(), 2000.0);
+    EXPECT_GE(rig.lap(ProfStage::Check).sum(), 5000.0);
+    EXPECT_GE(rig.lap(ProfStage::Verdict).sum(), 1000.0);
+    EXPECT_LE(rig.lap(ProfStage::Sink).sum(), rig.total.sum() - 6000.0);
+    EXPECT_LE(rig.lap(ProfStage::Check).sum(), rig.total.sum() - 3000.0);
+    // The laps partition the input: together they are its total.
+    EXPECT_LE(rig.lapSum(), rig.total.sum() + 1e-6);
+    EXPECT_NEAR(rig.lapSum(), rig.total.sum(), 1e-3);
+}
+
+TEST(StageClockTest, LapsOnePerCadenceAndOnlyInsideAnInput)
+{
+    ClockRig rig;
+    {
+        // Outside an input a scope only tags.
+        StageScope route(ProfStage::Route, &rig.clock);
+        EXPECT_EQ(currentProfStage(), ProfStage::Route);
+    }
+    EXPECT_EQ(rig.total.count(), 0u);
+    EXPECT_EQ(rig.lap(ProfStage::Route).count(), 0u);
+
+    for (std::uint64_t i = 0; i <= StageClock::kLapEvery; ++i) {
+        StageScope input(ProfStage::Sink, &rig.clock);
+        StageScope nested(ProfStage::Sink, &rig.clock);
+        StageScope parse(ProfStage::Parse, &rig.clock);
+    }
+    // Every input is totalled once; nested sink scopes belong to it.
+    EXPECT_EQ(rig.total.count(), StageClock::kLapEvery + 1);
+    // Inputs 0 and kLapEvery lapped, each stage summed per input.
+    EXPECT_EQ(rig.lap(ProfStage::Sink).count(), 2u);
+    EXPECT_EQ(rig.lap(ProfStage::Parse).count(), 2u);
 }
 
 // --- null-object contract ---------------------------------------------

@@ -567,7 +567,6 @@ TEST_F(PulseMonitorTest, ScrapeEndpointServesLiveMonitorState)
     config.pulse.enabled = true;
     config.pulse.windowSeconds = 6.0;
     config.pulse.httpPort = 0; // ephemeral
-    config.pulse.stageSampleEvery = 1;
     core::WorkflowMonitor monitor(config, catalog, pingPong());
     int port = monitor.pulsePort();
     ASSERT_GT(port, 0);
@@ -587,7 +586,7 @@ TEST_F(PulseMonitorTest, ScrapeEndpointServesLiveMonitorState)
     EXPECT_NE(body.find("seer_accepted_total 10"), std::string::npos)
         << body;
     EXPECT_NE(body.find("seer_build_info{"), std::string::npos);
-    // The sampled stage timers made it into the exposition.
+    // The stage clock's laps made it into the exposition.
     EXPECT_NE(body.find("seer_stage_check_us_count"),
               std::string::npos);
 

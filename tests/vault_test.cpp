@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 
 #include "common/binio.hpp"
 #include "common/rng.hpp"
@@ -692,4 +694,119 @@ TEST_F(VaultMonitorTest, RecoveryRefusesModelFingerprintMismatch)
         vault::ledgerPath(dir.path) + ".refused"));
     restored.feedLine("bogus line");
     EXPECT_EQ(restored.monitor().malformedLines(), 1u);
+}
+
+TEST_F(VaultMonitorTest, RecoveryRefusesCraftedMonitorSection)
+{
+    VaultDir dir("vault_crafted");
+    vault::VaultConfig vault_config;
+    vault_config.directory = dir.path;
+    {
+        // Construction alone leaves a sound checkpoint of a fresh
+        // monitor behind.
+        vault::VaultedMonitor vaulted(vault_config, config(false),
+                                      catalog, automata());
+    }
+    const std::string path = vault::checkpointPath(dir.path);
+    vault::CheckpointScan scan = vault::readCheckpoint(path);
+    ASSERT_TRUE(scan.complete);
+    std::vector<std::pair<vault::CheckpointSection, std::string>>
+        sections = scan.sections;
+    bool patched = false;
+    for (auto &[kind, body] : sections) {
+        if (kind != vault::CheckpointSection::Monitor)
+            continue;
+        // The image ends with the checker's relation count, its three
+        // id counters, its largest timeout and the no-observability
+        // flag: 8 + 24 + 8 + 1 bytes. Claim 2^60 relations there.
+        ASSERT_GE(body.size(), 41u);
+        std::size_t at = body.size() - 41;
+        ASSERT_EQ(body.substr(at, 8), std::string(8, '\0'));
+        body[at + 7] = static_cast<char>(0x10);
+        patched = true;
+    }
+    ASSERT_TRUE(patched);
+    ASSERT_GT(vault::writeCheckpoint(path, sections), 0u);
+
+    vault::VaultedMonitor restored(vault_config, config(false), catalog,
+                                   automata());
+    EXPECT_TRUE(restored.recovery().attempted);
+    EXPECT_FALSE(restored.recovery().recovered);
+    EXPECT_EQ(restored.recovery().error, "monitor restore refused");
+    EXPECT_TRUE(std::filesystem::exists(path + ".refused"));
+    EXPECT_TRUE(std::filesystem::exists(vault::ledgerPath(dir.path) +
+                                        ".refused"));
+    // The rebuilt monitor works.
+    std::vector<logging::LogRecord> records = workload(4, 4);
+    for (const logging::LogRecord &record : records)
+        restored.feed(record);
+    EXPECT_EQ(restored.monitor().ingestStats().recordsDelivered,
+              records.size());
+}
+
+TEST_F(VaultMonitorTest, StageClockTimesOneHistogramPerStage)
+{
+    VaultDir dir("vault_stage_clock");
+    vault::VaultConfig vault_config;
+    vault_config.directory = dir.path;
+    MonitorConfig monitor_config = config(false);
+    monitor_config.observability.metrics = true;
+    vault::VaultedMonitor vaulted(vault_config, monitor_config, catalog,
+                                  automata());
+    std::vector<logging::LogRecord> records = workload(6, 40);
+    ASSERT_GT(records.size(), obs::StageClock::kLapEvery);
+
+    // The first input is timed stage by stage.
+    vaulted.feedLine(logging::encodeLogLine(records[0]));
+
+    // Exactly one histogram per tagged stage the monitor passes
+    // through, named after the profiler's stage, plus the totals.
+    std::set<std::string> histograms;
+    std::istringstream text(vaulted.monitor().prometheusText());
+    for (std::string line; std::getline(text, line);) {
+        const std::string type = "# TYPE ";
+        const std::string kind = " histogram";
+        if (line.rfind(type, 0) == 0 && line.size() > kind.size() &&
+            line.compare(line.size() - kind.size(), kind.size(), kind) ==
+                0) {
+            histograms.insert(line.substr(
+                type.size(), line.size() - type.size() - kind.size()));
+        }
+    }
+    std::set<std::string> expected = {"seer_feed_latency_us",
+                                      "seer_wal_append_us"};
+    for (obs::ProfStage stage :
+         {obs::ProfStage::Sink, obs::ProfStage::Parse,
+          obs::ProfStage::Route, obs::ProfStage::Check,
+          obs::ProfStage::Verdict}) {
+        expected.insert(std::string("seer_stage_") +
+                        obs::profStageName(stage) + "_us");
+    }
+    EXPECT_EQ(histograms, expected);
+
+    // That input's laps add up to no more than its total.
+    obs::Observability &sinks = *vaulted.monitor().observability();
+    obs::StageClock &clock = *sinks.stageClock();
+    ASSERT_EQ(clock.total().count(), 1u);
+    EXPECT_EQ(clock.laps(obs::ProfStage::WalAppend),
+              sinks.walAppendLatency());
+    double laps = 0.0;
+    for (int stage = 0; stage < obs::kProfStageCount; ++stage) {
+        const obs::Histogram *lap =
+            clock.laps(static_cast<obs::ProfStage>(stage));
+        if (lap == nullptr)
+            continue;
+        EXPECT_EQ(lap->count(), 1u) << obs::profStageName(
+            static_cast<obs::ProfStage>(stage));
+        laps += lap->sum();
+    }
+    EXPECT_GT(laps, 0.0);
+    EXPECT_LE(laps, clock.total().sum() + 1e-6);
+
+    // Every input is totalled; one in kLapEvery is lapped again.
+    for (std::size_t i = 1; i <= obs::StageClock::kLapEvery; ++i)
+        vaulted.feed(records[i]);
+    EXPECT_EQ(clock.total().count(), obs::StageClock::kLapEvery + 1);
+    EXPECT_EQ(clock.laps(obs::ProfStage::Check)->count(), 2u);
+    EXPECT_EQ(clock.laps(obs::ProfStage::WalAppend)->count(), 2u);
 }
