@@ -94,14 +94,17 @@ warmStackCapture()
 }
 
 int
-captureStack(void **out, int max)
+captureStack(void **out, int max, const void *entry)
 {
     int count = walkFramePointers(out, max);
-    // A healthy frame-pointer build yields a deep chain; anything
-    // shorter means the chain was cut by FP omission — fall back to
-    // the unwinder, which reads .eh_frame instead.
-    if (count >= 3)
-        return count;
+    // A healthy chain climbs past `entry` into the interrupted code.
+    // One that ends at or before it was cut inside the sampling
+    // machinery: by FP omission, or by a runtime that dispatches
+    // signals from its own frames (TSan). The unwinder reads
+    // .eh_frame instead and walks on through them.
+    for (int i = 0; i + 1 < count; ++i)
+        if (out[i] == entry)
+            return count;
 #if defined(CLOUDSEER_HAVE_BACKTRACE)
     count = backtrace(out, max);
     return std::max(count, 0);

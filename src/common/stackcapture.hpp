@@ -7,8 +7,8 @@
  * The capture path is built to be callable from inside a SIGPROF
  * handler: a frame-pointer walk bounded by the current thread's stack
  * extent (cached per thread in normal context, never computed in the
- * handler), falling back to glibc `backtrace()` when the chain is cut
- * short by frame-pointer omission. `backtrace()` lazily dlopens
+ * handler), falling back to glibc `backtrace()` when the chain never
+ * leaves the sampling machinery. `backtrace()` lazily dlopens
  * libgcc on first use — `warmStackCapture()` pays that allocation in
  * normal context so the handler never does.
  */
@@ -37,11 +37,14 @@ void warmStackCapture();
 
 /**
  * Capture up to `max` return addresses for the calling thread,
- * innermost first. Async-signal-safe once `warmStackCapture()` has
- * run in the process. Returns the number of frames written (0 when
- * nothing could be captured).
+ * innermost first. `entry` is the return address of the frame that
+ * entered the capturing code (a signal handler's own return address):
+ * the frame-pointer chain is kept only when it reaches past `entry`,
+ * otherwise the unwinder runs. Async-signal-safe once
+ * `warmStackCapture()` has run in the process. Returns the number of
+ * frames written (0 when nothing could be captured).
  */
-int captureStack(void **out, int max);
+int captureStack(void **out, int max, const void *entry);
 
 /**
  * A process-CPU-time profiling timer delivering SIGPROF at a fixed

@@ -1018,6 +1018,34 @@ InterleavedChecker::sweepTimeouts(common::SimTime now,
     return events;
 }
 
+std::vector<GroupId>
+InterleavedChecker::evictionOrder() const
+{
+    // Sort keys, not ids: the comparator reads no map.
+    struct Key
+    {
+        bool zombie;
+        common::SimTime lastActivity;
+        GroupId gid;
+    };
+    std::vector<Key> keys;
+    keys.reserve(groups.size());
+    for (const auto &[gid, group] : groups)
+        keys.push_back({group.zombie(), group.lastActivity(), gid});
+    std::sort(keys.begin(), keys.end(), [](const Key &a, const Key &b) {
+        if (a.zombie != b.zombie)
+            return a.zombie;
+        if (a.lastActivity != b.lastActivity)
+            return a.lastActivity < b.lastActivity;
+        return a.gid < b.gid;
+    });
+    std::vector<GroupId> order;
+    order.reserve(keys.size());
+    for (const Key &key : keys)
+        order.push_back(key.gid);
+    return order;
+}
+
 std::vector<CheckEvent>
 InterleavedChecker::shedToCap(std::size_t cap, common::SimTime now)
 {
@@ -1026,24 +1054,7 @@ InterleavedChecker::shedToCap(std::size_t cap, common::SimTime now)
     if (groups.size() <= cap)
         return events;
 
-    // Eviction order: zombies first (already reported; pure state),
-    // then least-recently-active. Ties fall back to the older group
-    // id, which is deterministic.
-    std::vector<GroupId> order;
-    order.reserve(groups.size());
-    for (const auto &[gid, group] : groups)
-        order.push_back(gid);
-    std::sort(order.begin(), order.end(),
-              [this](GroupId a, GroupId b) {
-                  const AutomatonGroup &ga = groups.at(a);
-                  const AutomatonGroup &gb = groups.at(b);
-                  if (ga.zombie() != gb.zombie())
-                      return ga.zombie();
-                  if (ga.lastActivity() != gb.lastActivity())
-                      return ga.lastActivity() < gb.lastActivity();
-                  return a < b;
-              });
-
+    std::vector<GroupId> order = evictionOrder();
     std::size_t to_shed = groups.size() - cap;
     for (std::size_t i = 0; i < to_shed && i < order.size(); ++i) {
         auto it = groups.find(order[i]);
@@ -1212,25 +1223,9 @@ InterleavedChecker::shedToMemory(std::size_t max_bytes,
     if (retained <= max_bytes)
         return events;
 
-    // Identical eviction order to shedToCap: zombies first, then
-    // least-recently-active, ties to the older id — the two shedding
-    // paths are one contract, differing only in the stop condition.
-    std::vector<GroupId> order;
-    order.reserve(groups.size());
-    for (const auto &[gid, group] : groups)
-        order.push_back(gid);
-    std::sort(order.begin(), order.end(),
-              [this](GroupId a, GroupId b) {
-                  const AutomatonGroup &ga = groups.at(a);
-                  const AutomatonGroup &gb = groups.at(b);
-                  if (ga.zombie() != gb.zombie())
-                      return ga.zombie();
-                  if (ga.lastActivity() != gb.lastActivity())
-                      return ga.lastActivity() < gb.lastActivity();
-                  return a < b;
-              });
-
-    for (GroupId gid : order) {
+    // shedToCap's order: the two shedding paths are one contract,
+    // differing only in the stop condition.
+    for (GroupId gid : evictionOrder()) {
         if (retained <= max_bytes || groups.size() <= 1)
             break;
         auto it = groups.find(gid);

@@ -399,6 +399,11 @@ class InterleavedChecker
     /** Remove one group and its relation entries. */
     void eraseGroup(GroupId group);
 
+    /** Every live group in shedding order (shedToCap, shedToMemory):
+     *  zombies first (already reported; pure state), then
+     *  least-recently-active, ties to the older id. */
+    std::vector<GroupId> evictionOrder() const;
+
     /** Collect the group and all its (live) descendants. */
     void collectDescendants(GroupId group,
                             std::vector<GroupId> &out) const;

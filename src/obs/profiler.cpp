@@ -35,11 +35,13 @@ constexpr const char *kStageNames[kProfStageCount] = {
  *  Acquire/release paired with start()/stop() publication. */
 std::atomic<Profiler *> gActiveProfiler{nullptr};
 
-/** The signal trampoline's address (libc's __restore_rt), learned
- *  from the handler's own return address: the kernel pushes it as
- *  the frame the handler returns to, so it shows up in every walked
- *  stack — usually unnamed (libc keeps it private), so collect()
- *  strips it by address rather than by symbol. */
+/** The signal trampoline's address (libc's __restore_rt, or the
+ *  sanitizer runtime's dispatcher under TSan), learned from the
+ *  handler's own return address: it is the frame the handler returns
+ *  to, so it shows up in every captured stack — usually unnamed (libc
+ *  keeps it private), so collect() strips it by address rather than
+ *  by symbol. captureStack() trusts a frame-pointer chain only once
+ *  it climbs past it. */
 std::atomic<std::uintptr_t> gSigTrampoline{0};
 
 extern "C" void
@@ -491,7 +493,10 @@ Profiler::recordSample() noexcept
     }
     RawSample &slot = ring_[index];
     slot.stageWord = detail::tlsStageWord;
-    int depth = common::captureStack(slot.frames, kMaxFrames);
+    int depth = common::captureStack(
+        slot.frames, kMaxFrames,
+        reinterpret_cast<const void *>(
+            gSigTrampoline.load(std::memory_order_relaxed)));
     slot.depth = static_cast<std::uint16_t>(std::max(depth, 0));
     slot.ready.store(1, std::memory_order_release);
 }

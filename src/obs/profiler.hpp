@@ -17,8 +17,7 @@
  * nothing, no signal handler or timer is installed, and the stage
  * markers degrade to two TLS stores per scope, so reports and
  * event-stream digests are bit-identical with profiling on or off
- * (pinned by tests/profiler_test and the `bench_throughput --profile`
- * digest gate).
+ * (pinned by ProfilerTest.ReportsBitIdenticalWithProfilingOnOrOff).
  *
  * The same markers are the monitor's one stage clock: given a
  * `StageClock`, a scope also times itself, so `/metrics` and

@@ -92,7 +92,8 @@ inline constexpr std::uint32_t kVaultVersion = 1;
 /** Ledger group-commit threshold: pending frame bytes that trigger a
  *  write to the OS. Sized so the hot path is a memcpy per input and
  *  the write syscall amortises over hundreds of frames, keeping the
- *  vault under the ingest-overhead bar bench_throughput enforces. */
+ *  WAL append a small share of the vaulted ingest path (perfbench
+ *  ops-adverse, `vault.wal_append_ns`). */
 inline constexpr std::size_t kGroupCommitBytes = 32 * 1024;
 
 /** Checkpoint section kinds (first u32 of each checkpoint frame). */

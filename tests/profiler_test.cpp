@@ -3,7 +3,8 @@
  * Tests for seer-probe (DESIGN.md §17): the null-object contract of a
  * disabled profiler (no signal handler, no timer, reports
  * bit-identical with profiling on or off), stage-tagged sampling of a
- * busy loop, the folded/JSON serialisations and their round-trip, the
+ * busy loop, the tagged-fraction floor over a monitor's own traffic,
+ * the folded/JSON serialisations and their round-trip, the
  * SIGPROF disposition restore on stop, and the live /profilez
  * endpoint on a pulse-enabled monitor.
  *
@@ -43,20 +44,24 @@ sigprofDisposition()
     return current;
 }
 
+/** CPU seconds this process has used so far. */
+double
+processCpuSeconds()
+{
+    timespec ts = {};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 /** Burn roughly `seconds` of CPU time (not wall clock) so SIGPROF —
  *  which ticks on process CPU — has something to hit. */
 void
 burnCpu(double seconds)
 {
-    auto spent = [] {
-        timespec ts = {};
-        clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-        return static_cast<double>(ts.tv_sec) +
-               1e-9 * static_cast<double>(ts.tv_nsec);
-    };
-    double start = spent();
+    double start = processCpuSeconds();
     volatile std::uint64_t sink = 0;
-    while (spent() - start < seconds)
+    while (processCpuSeconds() - start < seconds)
         for (int i = 0; i < 10000; ++i)
             sink = sink * 1664525u + 1013904223u;
 }
@@ -385,6 +390,78 @@ TEST(ProfilerTest, SamplesBusyLoopUnderItsStageTag)
     }
     EXPECT_NEAR(parsed.taggedFraction(), profile.taggedFraction(),
                 1e-9);
+}
+
+TEST(ProfilerTest, MonitorTrafficLandsInTaggedStages)
+{
+    // The attribution floor: profiling a monitor over its own ingest
+    // traffic, at least 90% of samples must land in a tagged stage,
+    // or the stage markers have drifted off the hot path.
+    auto catalog = std::make_shared<logging::TemplateCatalog>();
+    logging::TemplateId ping = catalog->intern("svc-a", "ping <uuid>");
+    logging::TemplateId pong = catalog->intern("svc-b", "pong <uuid>");
+    std::vector<core::TaskAutomaton> automata;
+    automata.emplace_back(
+        "ping-pong",
+        std::vector<core::EventNode>{{ping, 0}, {pong, 0}},
+        std::vector<core::DependencyEdge>{{0, 1, true}});
+    core::MonitorConfig config;
+    config.timeoutSeconds = 5.0;
+    config.profiler.enabled = true;
+    config.profiler.hz = 997;
+    config.profiler.maxSamples = 1 << 16;
+    core::WorkflowMonitor monitor(config, catalog,
+                                  std::move(automata));
+    Profiler *profiler = monitor.profiler();
+    ASSERT_NE(profiler, nullptr);
+
+    // The traffic is built once, outside the profiled loop, so the
+    // loop's own untagged work is a field store per record: 64
+    // interleaved ping-pongs per pass, every eighth pong missing
+    // (a timeout), restamped forward on each pass.
+    std::vector<logging::LogRecord> pass;
+    for (int task = 0; task < 64; ++task) {
+        char uuid[64];
+        std::snprintf(uuid, sizeof uuid,
+                      "%08d-3333-3333-3333-333333333333", task);
+        logging::LogRecord record;
+        record.node = "n1";
+        record.level = logging::LogLevel::Info;
+        record.service = "svc-a";
+        record.body = std::string("ping ") + uuid;
+        record.timestamp = 0.01 * task;
+        pass.push_back(record);
+        if (task % 8 != 7) {
+            record.service = "svc-b";
+            record.body = std::string("pong ") + uuid;
+            record.timestamp += 0.005;
+            pass.push_back(record);
+        }
+    }
+    constexpr std::uint64_t kMinSamples = 300;
+    const double deadline = processCpuSeconds() + 30.0;
+    std::vector<double> stamps;
+    for (const logging::LogRecord &record : pass)
+        stamps.push_back(record.timestamp);
+    logging::RecordId next = 1;
+    double clock = 0.0;
+    while (profiler->sampleCount() < kMinSamples &&
+           processCpuSeconds() < deadline) {
+        for (std::size_t i = 0; i < pass.size(); ++i) {
+            pass[i].id = next++;
+            pass[i].timestamp = stamps[i] + clock;
+            monitor.feed(pass[i]);
+        }
+        clock += 1.0;
+    }
+    profiler->stop();
+
+    Profile profile = profiler->collect();
+    ASSERT_GE(profile.samples, kMinSamples)
+        << "the profiler stayed short of " << kMinSamples
+        << " samples within 30 s of CPU";
+    EXPECT_GE(profile.taggedFraction(), 0.9)
+        << profile.toFolded();
 }
 
 TEST(ProfilerTest, FramesWithEscapesRoundTrip)

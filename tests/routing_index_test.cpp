@@ -5,7 +5,9 @@
  * group lifecycle (create, decisive expansion, fork, retire, zombie,
  * finish), and the differential guarantee — the indexed checker's
  * report sequence is bit-identical to the reference scan path on
- * clean and transport-perturbed streams.
+ * clean and transport-perturbed streams, and its event stream (with
+ * and without the seer-prove fast path) on a deep synthetic schedule
+ * of a thousand tasks in flight.
  */
 
 #include <algorithm>
@@ -16,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/interference.hpp"
 #include "collect/stream_perturber.hpp"
+#include "common/rng.hpp"
+#include "common/uuid.hpp"
 #include "core/checker/interleaved_checker.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 #include "eval/accuracy_harness.hpp"
@@ -258,11 +263,10 @@ models()
     return system;
 }
 
-/** Byte-exact fingerprint of everything a report carries. */
+/** Byte-exact fingerprint of everything a check event carries. */
 std::string
-fingerprint(const MonitorReport &report)
+fingerprint(const CheckEvent &event)
 {
-    const CheckEvent &event = report.event;
     std::string out;
     out += std::to_string(static_cast<int>(event.kind));
     out += '|';
@@ -291,6 +295,14 @@ fingerprint(const MonitorReport &report)
     std::snprintf(time_buf, sizeof(time_buf), "|%.9f|", event.time);
     out += time_buf;
     out += std::to_string(event.group);
+    return out;
+}
+
+/** fingerprint(event) plus the report's end-of-stream flag. */
+std::string
+fingerprint(const MonitorReport &report)
+{
+    std::string out = fingerprint(report.event);
     out += '|';
     out += report.endOfStream ? '1' : '0';
     return out;
@@ -402,4 +414,136 @@ TEST(RoutingIndexDifferential, PerturbedWireStreamReportsBitIdentical)
     expectIdenticalReports(indexed.finish(), scan.finish(),
                            "wire-finish", wire.lines.size());
     expectIdenticalStats(indexed.stats(), scan.stats());
+}
+
+// --- deep differential: 1000 tasks in flight ----------------------------
+
+namespace {
+
+constexpr int kChainLength = 8;
+
+/** Linear workflow of kChainLength events whose `<uuid>` placeholder
+ *  matches the schedule's identifiers, so seer-prove certifies every
+ *  step and the fast path has a real surface. */
+TaskAutomaton
+chainAutomaton(logging::TemplateCatalog &catalog)
+{
+    std::vector<EventNode> events;
+    std::vector<DependencyEdge> edges;
+    for (int i = 0; i < kChainLength; ++i) {
+        events.push_back(
+            {catalog.intern("svc", "step-" + std::to_string(i) +
+                                       " <uuid>"),
+             0});
+        if (i > 0)
+            edges.push_back({i - 1, i, false});
+    }
+    return TaskAutomaton("chain", std::move(events), std::move(edges));
+}
+
+/**
+ * Deterministic interleaved schedule: `inflight` tasks in flight at
+ * all times, each with a unique pair of uuid identifiers; a finished
+ * task is replaced at once by a fresh one, and the next message comes
+ * from a uniformly drawn task.
+ */
+std::vector<CheckMessage>
+makeSchedule(const TaskAutomaton &automaton, int inflight,
+             int total_messages, std::uint64_t seed)
+{
+    logging::IdentifierInterner &interner =
+        logging::IdentifierInterner::process();
+    common::Rng rng(seed);
+    struct Slot
+    {
+        std::vector<logging::IdToken> ids;
+        int next = 0;
+    };
+    auto freshSlot = [&] {
+        Slot slot;
+        slot.ids = {interner.intern(common::makeUuid(rng)),
+                    interner.intern(common::makeUuid(rng))};
+        return slot;
+    };
+    std::vector<Slot> slots;
+    for (int i = 0; i < inflight; ++i)
+        slots.push_back(freshSlot());
+
+    std::vector<CheckMessage> schedule;
+    schedule.reserve(static_cast<std::size_t>(total_messages));
+    logging::RecordId record = 1;
+    double t = 0.0;
+    while (static_cast<int>(schedule.size()) < total_messages) {
+        Slot &slot = slots[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(slots.size()) - 1))];
+        CheckMessage message;
+        message.tpl = automaton.event(slot.next).tpl;
+        message.identifiers = slot.ids;
+        message.record = record++;
+        message.time = (t += 0.0001);
+        schedule.push_back(std::move(message));
+        if (++slot.next == kChainLength)
+            slot = freshSlot();
+    }
+    return schedule;
+}
+
+/** Every event a checker emits over the schedule, finish included. */
+std::vector<std::string>
+replay(InterleavedChecker &checker,
+       const std::vector<CheckMessage> &schedule)
+{
+    std::vector<std::string> events;
+    for (const CheckMessage &message : schedule)
+        for (const CheckEvent &event : checker.feed(message))
+            events.push_back(fingerprint(event));
+    for (const CheckEvent &event :
+         checker.finish(schedule.back().time + 1.0))
+        events.push_back(fingerprint(event));
+    return events;
+}
+
+} // namespace
+
+TEST(RoutingIndexDifferential, DeepChainScheduleEventsIdentical)
+{
+    logging::TemplateCatalog catalog;
+    TaskAutomaton chain = chainAutomaton(catalog);
+    analysis::InterferenceResult proof =
+        analysis::analyzeInterference({chain}, catalog);
+    ASSERT_EQ(proof.certificate.certifiedCount(),
+              static_cast<std::size_t>(kChainLength));
+
+    constexpr int kInflight = 1000;
+    std::vector<CheckMessage> schedule =
+        makeSchedule(chain, kInflight, 16000, kInflight * 7919u + 11u);
+
+    CheckerConfig scan_config;
+    scan_config.routingIndex = false;
+    InterleavedChecker scan(scan_config, {&chain});
+    CheckerConfig indexed_config;
+    indexed_config.routingIndex = true;
+    InterleavedChecker indexed(indexed_config, {&chain});
+    InterleavedChecker proved(indexed_config, {&chain});
+    proved.setCertifiedTemplates(
+        proof.certificate.certifiedBits(catalog.size()));
+
+    std::vector<std::string> scan_events = replay(scan, schedule);
+    std::vector<std::string> indexed_events = replay(indexed, schedule);
+    std::vector<std::string> proved_events = replay(proved, schedule);
+
+    // The schedule really runs deep: it retires chains and ends with
+    // every slot's task still open.
+    EXPECT_GT(scan.stats().accepted, 1000u);
+    EXPECT_GE(scan_events.size(), static_cast<std::size_t>(kInflight));
+    ASSERT_EQ(indexed_events.size(), scan_events.size());
+    ASSERT_EQ(proved_events.size(), scan_events.size());
+    for (std::size_t i = 0; i < scan_events.size(); ++i) {
+        ASSERT_EQ(indexed_events[i], scan_events[i]) << "event " << i;
+        ASSERT_EQ(proved_events[i], scan_events[i]) << "event " << i;
+    }
+    expectIdenticalStats(indexed.stats(), scan.stats());
+    expectIdenticalStats(proved.stats(), scan.stats());
+    EXPECT_TRUE(indexed.indexConsistent());
+    EXPECT_TRUE(proved.indexConsistent());
 }

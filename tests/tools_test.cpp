@@ -19,9 +19,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 
 #include "analysis/diagnostics.hpp"
+#include "common/http_server.hpp"
 #include "core/mining/model_io.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 #include "obs/observability.hpp"
@@ -86,6 +89,19 @@ class ToolDir
     const std::string path;
 };
 
+/** The two-step ping → pong workflow over `catalog`. */
+std::vector<TaskAutomaton>
+pingPong(logging::TemplateCatalog &catalog)
+{
+    logging::TemplateId ping = catalog.intern("svc-a", "ping <uuid>");
+    logging::TemplateId pong = catalog.intern("svc-b", "pong <uuid>");
+    std::vector<TaskAutomaton> automata;
+    automata.emplace_back(
+        "ping-pong", std::vector<EventNode>{{ping, 0}, {pong, 0}},
+        std::vector<DependencyEdge>{{0, 1, true}});
+    return automata;
+}
+
 /**
  * Produce genuine BUNDLE lines by running a flight-armed monitor
  * through a divergence and a timeout — the same producer the tool is
@@ -95,16 +111,10 @@ std::string
 makeBundleLines()
 {
     auto catalog = std::make_shared<logging::TemplateCatalog>();
-    logging::TemplateId ping = catalog->intern("svc-a", "ping <uuid>");
-    logging::TemplateId pong = catalog->intern("svc-b", "pong <uuid>");
-    std::vector<TaskAutomaton> automata;
-    automata.emplace_back(
-        "ping-pong", std::vector<EventNode>{{ping, 0}, {pong, 0}},
-        std::vector<DependencyEdge>{{0, 1, true}});
     MonitorConfig config;
     config.timeoutSeconds = 10.0;
     config.observability.flightRecorder.perNodeCapacity = 8;
-    WorkflowMonitor monitor(config, catalog, std::move(automata));
+    WorkflowMonitor monitor(config, catalog, pingPong(*catalog));
 
     const char *uuid1 = "11111111-1111-1111-1111-111111111111";
     const char *uuid2 = "22222222-2222-2222-2222-222222222222";
@@ -475,6 +485,90 @@ TEST(PulseTool, ScrapeDiagnosesBadAndUnreachableEndpoints)
               std::string::npos);
 }
 
+TEST(PulseTool, ScrapeSmokeOverLiveMonitorAfterShedBurst)
+{
+    // A live pulse-enabled monitor on an ephemeral port takes a few
+    // complete ping-pongs, then a burst of half-open groups past its
+    // cap: every endpoint must answer 200 with a body, the operator
+    // CLI must scrape /metrics, /healthz must read degraded, and the
+    // shed_burn page must reach the alert log.
+    ToolDir dir("pulse_scrape_smoke");
+    auto catalog = std::make_shared<logging::TemplateCatalog>();
+    MonitorConfig config;
+    config.timeoutSeconds = 100.0;
+    config.ingest.maxActiveGroups = 4;
+    config.pulse.enabled = true;
+    config.pulse.windowSeconds = 6.0; // snapshots every 1 s of clock
+    config.pulse.httpPort = 0;
+    config.pulse.alertLogPath = dir.file("alerts.jsonl");
+    RunResult scraped;
+    {
+        WorkflowMonitor monitor(config, catalog, pingPong(*catalog));
+        int port = monitor.pulsePort();
+        ASSERT_GT(port, 0);
+        logging::RecordId next = 1;
+        auto feed = [&](const std::string &service,
+                        const std::string &body, double t) {
+            logging::LogRecord record;
+            record.id = next++;
+            record.timestamp = t;
+            record.node = "controller";
+            record.service = service;
+            record.level = logging::LogLevel::Info;
+            record.body = body;
+            monitor.feed(record);
+        };
+        auto uuid = [](int which) {
+            char buf[64];
+            std::snprintf(buf, sizeof buf,
+                          "%08x-2222-2222-2222-222222222222",
+                          static_cast<unsigned>(which));
+            return std::string(buf);
+        };
+        for (int i = 0; i < 5; ++i) {
+            feed("svc-a", "ping " + uuid(i), 0.2 * i);
+            feed("svc-b", "pong " + uuid(i), 0.2 * i + 0.1);
+        }
+        for (int i = 100; i < 130; ++i)
+            feed("svc-a", "ping " + uuid(i), 1.0 + 0.5 * (i - 100));
+        EXPECT_GT(monitor.stats().groupsShed, 0u);
+        monitor.publishPulse();
+
+        const std::string endpoint =
+            "127.0.0.1:" + std::to_string(port);
+        for (const char *path :
+             {"/metrics", "/healthz", "/alerts", "/buildz"}) {
+            int status = 0;
+            std::string body;
+            ASSERT_TRUE(common::httpGet("127.0.0.1",
+                                        static_cast<std::uint16_t>(port),
+                                        path, status, body))
+                << path;
+            EXPECT_EQ(status, 200) << path;
+            EXPECT_FALSE(body.empty()) << path;
+            if (std::string(path) == "/healthz") {
+                EXPECT_NE(body.find("\"status\":\"degraded\""),
+                          std::string::npos)
+                    << body;
+            }
+        }
+        scraped = run(std::string(SEER_PULSE_BIN) + " scrape " +
+                      endpoint + " /metrics");
+    }
+    // The monitor is gone, so its alert log is flushed and closed.
+    EXPECT_EQ(scraped.status, 0) << scraped.output;
+    EXPECT_NE(scraped.output.find("seer_accepted_total 5"),
+              std::string::npos)
+        << scraped.output;
+
+    std::ifstream alert_log(dir.file("alerts.jsonl"));
+    std::string alerts((std::istreambuf_iterator<char>(alert_log)),
+                       std::istreambuf_iterator<char>());
+    EXPECT_NE(alerts.find("\"kind\":\"ALERT\""), std::string::npos)
+        << alerts;
+    EXPECT_NE(alerts.find("\"rule\":\"shed_burn\""), std::string::npos);
+}
+
 // --- seer_stats × seer_pulse (ALERT interleave) ---------------------
 
 namespace {
@@ -656,123 +750,6 @@ TEST(ProfTool, DiffRanksGrownFramesFirstAndRefusesEmptyProfiles)
         run(bin + " diff " + base_path + " " + empty_path);
     EXPECT_EQ(refused.status, 2) << refused.output;
     EXPECT_NE(refused.output.find("empty profile"), std::string::npos);
-}
-
-// --- seer_bench_diff --------------------------------------------------
-
-namespace {
-
-/** A one-level throughput document in the bench's own key layout. */
-std::string
-benchJson(double indexed_mps, double prove_speedup,
-          double obs_overhead, bool with_speedup = true)
-{
-    std::ostringstream out;
-    out.setf(std::ios::fixed);
-    out.precision(3);
-    out << "{\n  \"bench\": \"throughput\",\n  \"levels\": [\n"
-        << "    {\"inflight\": 10, \"messages\": 4000,\n"
-        << "     \"indexed\": {\"mps\": " << indexed_mps
-        << ", \"p50_us\": 0.5, \"p99_us\": 1.2},\n"
-        << "     \"obs_overhead\": " << obs_overhead;
-    if (with_speedup)
-        out << ",\n     \"prove_speedup\": " << prove_speedup;
-    out << "}\n  ]\n}\n";
-    return out.str();
-}
-
-} // namespace
-
-TEST(BenchDiffTool, CommittedBaselineSelfCompareIsClean)
-{
-    std::string committed =
-        std::string(CLOUDSEER_SOURCE_DIR) + "/BENCH_throughput.json";
-    RunResult result = run(std::string(SEER_BENCH_DIFF_BIN) + " " +
-                           committed + " " + committed);
-    EXPECT_EQ(result.status, 0) << result.output;
-    EXPECT_NE(result.output.find("ok: no regressions"),
-              std::string::npos)
-        << result.output;
-}
-
-TEST(BenchDiffTool, SyntheticRegressionTripsAndRatiosOnlyScopes)
-{
-    ToolDir dir("bench_diff");
-    std::string base_path = dir.file("base.json");
-    std::string fresh_path = dir.file("fresh.json");
-    std::ofstream(base_path) << benchJson(1000000.0, 1.5, 0.05);
-    // A 20% throughput drop — past the default 10% band — with the
-    // hardware-independent ratios and overheads held steady.
-    std::ofstream(fresh_path) << benchJson(800000.0, 1.5, 0.05);
-    const std::string bin = SEER_BENCH_DIFF_BIN;
-
-    RunResult tripped = run(bin + " " + base_path + " " + fresh_path);
-    EXPECT_EQ(tripped.status, 1) << tripped.output;
-    EXPECT_NE(tripped.output.find("indexed.mps"), std::string::npos)
-        << tripped.output;
-    EXPECT_NE(tripped.output.find("REGRESSED"), std::string::npos);
-    EXPECT_NE(tripped.output.find("FAIL:"), std::string::npos);
-
-    // --ratios-only drops the absolute-throughput class (the
-    // cross-hardware CI mode), and nothing else regressed here.
-    RunResult scoped = run(bin + " --ratios-only " + base_path + " " +
-                           fresh_path);
-    EXPECT_EQ(scoped.status, 0) << scoped.output;
-
-    // A generous tolerance absorbs the same drop.
-    EXPECT_EQ(run(bin + " --tolerance 0.25 " + base_path + " " +
-                  fresh_path)
-                  .status,
-              0);
-
-    // A ratio regression (speedup 1.5 → 1.0) survives --ratios-only.
-    std::string slow_path = dir.file("slow.json");
-    std::ofstream(slow_path) << benchJson(1000000.0, 1.0, 0.05);
-    RunResult ratio = run(bin + " --ratios-only " + base_path + " " +
-                          slow_path);
-    EXPECT_EQ(ratio.status, 1) << ratio.output;
-    EXPECT_NE(ratio.output.find("prove_speedup"), std::string::npos);
-
-    // Overheads gate on an absolute band: +0.15 regresses, +0.05 not.
-    std::string heavy_path = dir.file("heavy.json");
-    std::ofstream(heavy_path) << benchJson(1000000.0, 1.5, 0.20);
-    EXPECT_EQ(run(bin + " " + base_path + " " + heavy_path).status, 1);
-    std::string light_path = dir.file("light.json");
-    std::ofstream(light_path) << benchJson(1000000.0, 1.5, 0.10);
-    EXPECT_EQ(run(bin + " " + base_path + " " + light_path).status, 0);
-}
-
-TEST(BenchDiffTool, MetricMissingFromFreshRunIsARegression)
-{
-    ToolDir dir("bench_diff_missing");
-    std::string base_path = dir.file("base.json");
-    std::string fresh_path = dir.file("fresh.json");
-    std::ofstream(base_path) << benchJson(1000000.0, 1.5, 0.05);
-    std::ofstream(fresh_path)
-        << benchJson(1000000.0, 1.5, 0.05, /*with_speedup=*/false);
-    RunResult result = run(std::string(SEER_BENCH_DIFF_BIN) + " " +
-                           base_path + " " + fresh_path);
-    EXPECT_EQ(result.status, 1) << result.output;
-    EXPECT_NE(result.output.find("MISSING from fresh run"),
-              std::string::npos)
-        << result.output;
-
-    // --json renders the same verdicts machine-readably.
-    RunResult as_json = run(std::string(SEER_BENCH_DIFF_BIN) +
-                            " --json " + base_path + " " + fresh_path);
-    EXPECT_EQ(as_json.status, 1);
-    EXPECT_NE(as_json.output.find("\"kind\": \"BENCH_DIFF\""),
-              std::string::npos)
-        << as_json.output;
-    EXPECT_NE(as_json.output.find("prove_speedup"), std::string::npos);
-
-    // Non-bench input is a usage-class failure, not a verdict.
-    std::string bogus_path = dir.file("bogus.json");
-    std::ofstream(bogus_path) << "{\"bench\": \"soak\"}";
-    EXPECT_EQ(run(std::string(SEER_BENCH_DIFF_BIN) + " " + bogus_path +
-                  " " + fresh_path)
-                  .status,
-              2);
 }
 
 // --- idle-stream warnings (seer_stats --follow, seer_pulse watch) -----
