@@ -104,13 +104,6 @@ HttpServer::handle(const std::string &path, Handler handler)
     handlers[path] = std::move(handler);
 }
 
-void
-HttpServer::handleWithQuery(const std::string &path,
-                            QueryHandler handler)
-{
-    queryHandlers[path] = std::move(handler);
-}
-
 bool
 HttpServer::start()
 {
@@ -248,17 +241,9 @@ HttpServer::serveConnection(int fd)
         return;
     }
     std::size_t query = target.find('?');
-    std::string query_string;
-    if (query != std::string::npos) {
-        query_string = target.substr(query + 1);
+    if (query != std::string::npos)
         target.resize(query);
-    }
 
-    auto qit = queryHandlers.find(target);
-    if (qit != queryHandlers.end()) {
-        sendResponse(fd, qit->second(query_string));
-        return;
-    }
     auto it = handlers.find(target);
     if (it == handlers.end()) {
         sendResponse(fd, {404, "text/plain; charset=utf-8",

@@ -49,8 +49,6 @@ class HttpServer
 {
   public:
     using Handler = std::function<HttpResponse()>;
-    using QueryHandler =
-        std::function<HttpResponse(const std::string &query)>;
 
     /**
      * @param bind_address dotted-quad to bind (default loopback —
@@ -72,15 +70,6 @@ class HttpServer
      * start(); the table is immutable while the server runs.
      */
     void handle(const std::string &path, Handler handler);
-
-    /**
-     * Like handle(), but the handler receives the raw query string
-     * (the part after '?', without it; empty when absent) — for
-     * parameterised endpoints such as /profilez?seconds=N. A query
-     * handler takes precedence over a plain handler on the same path.
-     */
-    void handleWithQuery(const std::string &path,
-                         QueryHandler handler);
 
     /**
      * Bind, listen, and launch the accept thread. Returns false
@@ -108,7 +97,6 @@ class HttpServer
     std::thread acceptThread;
     std::atomic<bool> serving{false};
     std::map<std::string, Handler> handlers;
-    std::map<std::string, QueryHandler> queryHandlers;
     std::string lastError;
 
     void acceptLoop();

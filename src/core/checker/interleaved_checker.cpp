@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "common/error.hpp"
-#include "obs/profiler.hpp"
 
 namespace cloudseer::core {
 
@@ -688,9 +687,6 @@ InterleavedChecker::applyErrorCriterion(const CheckMessage &message,
 std::vector<CheckEvent>
 InterleavedChecker::feed(const CheckMessage &message)
 {
-    // seer-probe: Algorithm 2 samples as "check" even when this
-    // engine is driven directly (bench paths), not via the monitor.
-    obs::StageScope profScope(obs::ProfStage::Check);
     std::vector<CheckEvent> events;
     ++counters.messages;
     traceNow = message.time;

@@ -1,9 +1,7 @@
 #include "core/monitor/workflow_monitor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
-#include <thread>
 
 #include "analysis/interference.hpp"
 #include "analysis/model_lint.hpp"
@@ -141,12 +139,6 @@ WorkflowMonitor::WorkflowMonitor(
             pulseServer = std::make_unique<obs::TelemetryServer>(
                 config.pulse.httpBindAddress,
                 static_cast<std::uint16_t>(config.pulse.httpPort));
-            // seer-probe: /profilez?seconds=N pulls a live profile.
-            // Registered before start() — the handler table freezes
-            // when the server launches.
-            pulseServer->setProfileProvider([this](double seconds) {
-                return liveProfileJson(seconds);
-            });
             if (!pulseServer->start()) {
                 common::fatal(
                     "seer-pulse: cannot bind scrape endpoint: " +
@@ -155,27 +147,15 @@ WorkflowMonitor::WorkflowMonitor(
             publishPulse();
         }
     }
-
-    // seer-probe continuous profiler (DESIGN.md §17): disabled means
-    // nothing is constructed — no SIGPROF handler, no timer, reports
-    // bit-identical (pinned by tests/profiler_test).
-    if (config.profiler.enabled) {
-        profPtr = std::make_unique<obs::Profiler>(config.profiler);
-        if (!profPtr->start()) {
-            common::fatal("seer-probe: cannot start profiler "
-                          "(SIGPROF slot already taken or the "
-                          "profiling timer failed)");
-        }
-    }
 }
 
 std::vector<MonitorReport>
 WorkflowMonitor::feed(const logging::LogRecord &record)
 {
     // Everything from arrival onward is "sink" unless an interior
-    // stage (parse/route/check/verdict) re-tags. Outermost, this scope
+    // stage (parse/route/check/verdict) takes over. Outermost, this scope
     // is the input the stage clock times (null sink: no clock read).
-    obs::StageScope profScope(obs::ProfStage::Sink, stageClock);
+    obs::StageScope scope(obs::Stage::Sink, stageClock);
     std::vector<MonitorReport> reports;
 
     // seer-flight: capture the raw line at arrival, before reordering
@@ -258,7 +238,7 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
     common::SimTime message_time = record.timestamp;
     common::SimTime now;
     {
-        obs::StageScope profScope(obs::ProfStage::Route, stageClock);
+        obs::StageScope scope(obs::Stage::Route, stageClock);
         if (record.timestamp < lastTimestamp) {
             ++ingest.nonMonotonicClamped;
             ingest.maxRegressionSeconds =
@@ -278,7 +258,7 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
     CheckMessage &message = scratchMessage;
     message.identifiers.clear();
     {
-        obs::StageScope profScope(obs::ProfStage::Parse, stageClock);
+        obs::StageScope scope(obs::Stage::Parse, stageClock);
         std::uint64_t templ_hash =
             extractor.scan(record.body, scratchTemplate, scratchVariables);
         message.tpl =
@@ -310,7 +290,7 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
     // end up suppressed).
     bool suppressed = false;
     if (config.ingest.dedupWindowSeconds > 0.0) {
-        obs::StageScope profScope(obs::ProfStage::Route, stageClock);
+        obs::StageScope scope(obs::Stage::Route, stageClock);
         std::string key = record.node;
         key += '\x1f';
         key += record.service;
@@ -343,7 +323,7 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
     }
 
     {
-        obs::StageScope profScope(obs::ProfStage::Check, stageClock);
+        obs::StageScope scope(obs::Stage::Check, stageClock);
         for (CheckEvent &event : checker.sweepTimeouts(
                  now, [this](const std::vector<std::string> &tasks) {
                      return timeoutPolicy.timeoutForCandidates(tasks);
@@ -359,7 +339,7 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
         return;
 
     {
-        obs::StageScope profScope(obs::ProfStage::Verdict, stageClock);
+        obs::StageScope scope(obs::Stage::Verdict, stageClock);
         // Group-cap shedding: bound live state, loudly.
         if (config.ingest.maxActiveGroups > 0 &&
             checker.activeGroups() > config.ingest.maxActiveGroups) {
@@ -392,7 +372,7 @@ std::vector<MonitorReport>
 WorkflowMonitor::feedLine(const std::string &line)
 {
     // The wire decode is sink time of the same input feed() goes on.
-    obs::StageScope profScope(obs::ProfStage::Sink, stageClock);
+    obs::StageScope scope(obs::Stage::Sink, stageClock);
     ++ingest.linesSeen;
 
     logging::DecodeFailure why = logging::DecodeFailure::None;
@@ -529,7 +509,7 @@ WorkflowMonitor::healthSample() const
         s.feedP99us = latency.percentile(99.0);
         s.feedMaxUs = latency.maxSeen();
         if (const obs::Histogram *wal =
-                stageClock->laps(obs::ProfStage::WalAppend)) {
+                stageClock->laps(obs::Stage::WalAppend)) {
             s.walAppendP50us = wal->percentile(50.0);
             s.walAppendP99us = wal->percentile(99.0);
         }
@@ -575,27 +555,6 @@ WorkflowMonitor::publishPulse()
     docs.alerts = pulsePtr->alertsJson();
     docs.buildz = buildzJson();
     pulseServer->publish(std::move(docs));
-}
-
-std::string
-WorkflowMonitor::liveProfileJson(double seconds)
-{
-    auto window = std::chrono::duration<double>(
-        std::max(seconds, 0.0));
-    if (profPtr != nullptr) {
-        // The continuous profiler keeps sampling; let the window pass
-        // and hand back everything it holds so far.
-        std::this_thread::sleep_for(window);
-        return profPtr->collect().toJson();
-    }
-    obs::ProfilerConfig transient = config.profiler;
-    transient.enabled = true;
-    obs::Profiler profiler(transient);
-    if (!profiler.start())
-        return std::string(); // SIGPROF slot held elsewhere
-    std::this_thread::sleep_for(window);
-    profiler.stop();
-    return profiler.collect().toJson();
 }
 
 std::vector<std::string>

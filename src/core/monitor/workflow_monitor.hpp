@@ -32,7 +32,6 @@
 #include "logging/log_record.hpp"
 #include "logging/variable_extractor.hpp"
 #include "obs/observability.hpp"
-#include "obs/profiler.hpp"
 #include "obs/pulse.hpp"
 
 namespace cloudseer::core {
@@ -233,17 +232,6 @@ struct MonitorConfig
      * configured) so the rate engine has a heartbeat to chew on.
      */
     obs::PulseConfig pulse;
-
-    /**
-     * seer-probe sampling profiler (DESIGN.md §17). Off by default —
-     * a true null object: nothing is constructed, no SIGPROF handler
-     * or timer is installed, and the stage markers degrade to two TLS
-     * stores per pipeline section, so reports are bit-identical
-     * (pinned by tests/profiler_test). When enabled, samples tag
-     * themselves with the active pipeline stage and a live profile
-     * can be pulled over `/profilez?seconds=N` when pulse serves.
-     */
-    obs::ProfilerConfig profiler;
 };
 
 /** Online workflow monitor (modeling output in, reports out). */
@@ -403,24 +391,6 @@ class WorkflowMonitor
      */
     void publishPulse();
 
-    // --- seer-probe (DESIGN.md §17) ------------------------------------
-
-    /** True when the continuous sampling profiler is armed. */
-    bool profilerEnabled() const { return profPtr != nullptr; }
-
-    /** The running profiler, or nullptr when profiling is off. */
-    obs::Profiler *profiler() { return profPtr.get(); }
-
-    /**
-     * Capture a profile over the next `seconds` of wall time and
-     * return its JSON — the `/profilez` provider. Uses the armed
-     * continuous profiler when there is one (sleeps, then drains what
-     * it holds), else spins up a transient profiler for the window.
-     * Blocks the calling thread; "" when a competing profiler holds
-     * the process-wide SIGPROF slot.
-     */
-    std::string liveProfileJson(double seconds);
-
     // --- seer-flight (DESIGN.md §12) -----------------------------------
 
     /** The flight recorder, or nullptr when it is off. */
@@ -494,9 +464,6 @@ class WorkflowMonitor
     // seer-pulse (DESIGN.md §16); both null when pulse is off.
     std::unique_ptr<obs::PulseEngine> pulsePtr;
     std::unique_ptr<obs::TelemetryServer> pulseServer;
-
-    // seer-probe (DESIGN.md §17); null when profiling is off.
-    std::unique_ptr<obs::Profiler> profPtr;
 
     /** The pipeline's stage clock (DESIGN.md §16); null = untimed. */
     obs::StageClock *stageClock = nullptr;

@@ -173,10 +173,9 @@ Observability::Observability(const ObsConfig &config)
         clockPtr = std::make_unique<StageClock>(registry.histogram(
             "seer_feed_latency_us",
             "per-input monitor feed latency, microseconds", -1, 6));
-        for (ProfStage stage : {ProfStage::Sink, ProfStage::Parse,
-                                ProfStage::Route, ProfStage::Check,
-                                ProfStage::Verdict}) {
-            std::string name = profStageName(stage);
+        for (Stage stage : {Stage::Sink, Stage::Parse, Stage::Route,
+                            Stage::Check, Stage::Verdict}) {
+            std::string name = stageName(stage);
             clockPtr->laps(stage) = &registry.histogram(
                 "seer_stage_" + name + "_us",
                 "time one input in " +
@@ -208,7 +207,7 @@ Observability::walAppendLatency()
 {
     if (clockPtr == nullptr)
         return nullptr;
-    Histogram *&wal = clockPtr->laps(ProfStage::WalAppend);
+    Histogram *&wal = clockPtr->laps(Stage::WalAppend);
     if (wal == nullptr) {
         // Group-committed appends span sub-microsecond (coalesced)
         // to milliseconds (fsync'd): 0.1us..1s.
@@ -388,7 +387,7 @@ Observability::saveState(common::BinWriter &out) const
 {
     const Histogram *feed = clockPtr ? &clockPtr->total() : nullptr;
     const Histogram *wal =
-        feed == nullptr ? nullptr : clockPtr->laps(ProfStage::WalAppend);
+        feed == nullptr ? nullptr : clockPtr->laps(Stage::WalAppend);
     out.writeBool(feed != nullptr);
     if (feed != nullptr)
         feed->saveState(out);

@@ -28,7 +28,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
+#include "obs/stage_clock.hpp"
 #include "obs/trace.hpp"
 
 namespace cloudseer::obs {

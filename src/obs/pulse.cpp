@@ -494,35 +494,6 @@ TelemetryServer::stop()
 }
 
 void
-TelemetryServer::setProfileProvider(
-    std::function<std::string(double)> provider)
-{
-    profileProvider = std::move(provider);
-    server.handleWithQuery(
-        "/profilez", [this](const std::string &query) {
-            double seconds = 5.0;
-            std::size_t at = query.find("seconds=");
-            if (at != std::string::npos) {
-                const char *start = query.c_str() + at + 8;
-                char *end = nullptr;
-                seconds = std::strtod(start, &end);
-                if (end == start || !(seconds > 0.0))
-                    return common::HttpResponse{
-                        400, "text/plain; charset=utf-8",
-                        "bad seconds value\n"};
-            }
-            seconds = std::clamp(seconds, 0.1, 60.0);
-            std::string profile = profileProvider(seconds);
-            if (profile.empty())
-                return common::HttpResponse{
-                    503, "text/plain; charset=utf-8",
-                    "profiler busy\n"};
-            return common::HttpResponse{200, "application/json",
-                                        std::move(profile)};
-        });
-}
-
-void
 TelemetryServer::publish(Documents docs)
 {
     std::lock_guard<std::mutex> lock(mutex);

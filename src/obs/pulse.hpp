@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -310,22 +309,10 @@ class TelemetryServer
 
     void publish(Documents docs);
 
-    /**
-     * Arm `/profilez?seconds=N` (seer-probe, DESIGN.md §17): the
-     * provider is called with the clamped capture window (0.1–60 s,
-     * default 5) and returns the profile JSON — empty means "profiler
-     * busy" and maps to 503. Runs on the HTTP thread and blocks it
-     * for the window, which is fine for a one-scraper pull endpoint.
-     * Must be set before start(). Without a provider the path 404s.
-     */
-    void setProfileProvider(
-        std::function<std::string(double seconds)> provider);
-
   private:
     common::HttpServer server;
     std::mutex mutex;
     Documents current;
-    std::function<std::string(double)> profileProvider;
 
     common::HttpResponse serve(const std::string &body,
                                const std::string &content_type);

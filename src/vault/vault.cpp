@@ -179,7 +179,7 @@ void
 WriteAheadLedger::appendLine(std::uint64_t seq, const std::string &line,
                              obs::StageClock *clock)
 {
-    obs::StageScope profScope(obs::ProfStage::WalAppend, clock);
+    obs::StageScope scope(obs::Stage::WalAppend, clock);
     // Raw lines are the ingest hot path: frame straight into the
     // pending batch — header placeholder first, patched by sealFrame
     // once the payload is in place — so each append is one CRC pass
@@ -203,7 +203,7 @@ WriteAheadLedger::appendRecord(std::uint64_t seq,
                                const logging::LogRecord &record,
                                obs::StageClock *clock)
 {
-    obs::StageScope profScope(obs::ProfStage::WalAppend, clock);
+    obs::StageScope scope(obs::Stage::WalAppend, clock);
     scratch.clear();
     scratch.writeU8(static_cast<std::uint8_t>(LedgerEntry::Record));
     scratch.writeU64(seq);

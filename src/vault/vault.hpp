@@ -42,7 +42,7 @@
 
 #include "common/binio.hpp"
 #include "logging/log_record.hpp"
-#include "obs/profiler.hpp"
+#include "obs/stage_clock.hpp"
 
 namespace cloudseer::vault {
 

@@ -155,7 +155,7 @@ VaultedMonitor::ledgered(Append append, Feed feed)
     {
         // One input on the stage clock: the append is its WalAppend
         // lap, the monitor's stages the rest.
-        obs::StageScope input(obs::ProfStage::Sink, stageClock);
+        obs::StageScope input(obs::Stage::Sink, stageClock);
         append();
         reports = feed();
     }

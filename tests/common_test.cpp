@@ -553,6 +553,26 @@ TEST(HttpServerHardening, UnknownPathGets404WithNamedTarget)
     EXPECT_EQ(body, "unknown path: /nowhere\n");
 }
 
+TEST(HttpServerHardening, QueryStringIsStrippedBeforeMatching)
+{
+    HttpServer server{"127.0.0.1", 0};
+    server.handle("/metrics", [] {
+        return HttpResponse{200, "text/plain", "seer_up 1\n"};
+    });
+    ASSERT_TRUE(server.start()) << server.error();
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(httpGet("127.0.0.1", server.boundPort(), "/metrics?x=1",
+                        status, body));
+    EXPECT_EQ(status, 200);
+    EXPECT_EQ(body, "seer_up 1\n");
+    // An unknown path is named without its query.
+    ASSERT_TRUE(httpGet("127.0.0.1", server.boundPort(),
+                        "/nowhere?x=1", status, body));
+    EXPECT_EQ(status, 404);
+    EXPECT_EQ(body, "unknown path: /nowhere\n");
+}
+
 TEST(HttpServerHardening, SurvivesClientDisconnectingMidRequest)
 {
     ScratchServer scratch;

@@ -609,6 +609,25 @@ TEST_F(PulseMonitorTest, ScrapeEndpointServesLiveMonitorState)
     EXPECT_NE(body.find("\"modelFingerprint\""), std::string::npos);
 }
 
+TEST_F(PulseMonitorTest, ServesNoProfileEndpoint)
+{
+    // The scrape plane serves documents only: nothing reachable over
+    // the port arms anything inside the monitor's process.
+    core::MonitorConfig config;
+    config.pulse.enabled = true;
+    config.pulse.httpPort = 0; // ephemeral
+    core::WorkflowMonitor monitor(config, catalog, pingPong());
+    int port = monitor.pulsePort();
+    ASSERT_GT(port, 0);
+
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(common::httpGet("127.0.0.1",
+                                static_cast<std::uint16_t>(port),
+                                "/profilez", status, body));
+    EXPECT_EQ(status, 404);
+}
+
 // --- traced vs untraced ALERT differential ----------------------------
 
 TEST_F(PulseMonitorTest, TracingAndFlightLeaveAlertRecordsIdentical)

@@ -28,7 +28,6 @@
 #include "core/mining/model_io.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 #include "obs/observability.hpp"
-#include "obs/profiler.hpp"
 #include "obs/pulse.hpp"
 #include "test_util.hpp"
 #include "vault/vault.hpp"
@@ -620,136 +619,6 @@ TEST(StatsTool, FollowSurfacesAlertsAndHonorsPollLimit)
     EXPECT_NE(result.output.find("ALERT firing"), std::string::npos)
         << result.output;
     EXPECT_NE(result.output.find("shed_burn"), std::string::npos);
-}
-
-// --- seer_prof --------------------------------------------------------
-
-namespace {
-
-/**
- * A hand-built profile with known shares (check 12, sink 6, untagged
- * 2 of 20 samples → 90% tagged), serialised through the same toJson()
- * every real producer uses — deterministic input for the viewer.
- */
-obs::Profile
-syntheticProfile(std::uint64_t check, std::uint64_t sink,
-                 std::uint64_t untagged)
-{
-    obs::Profile profile;
-    profile.hz = 99;
-    profile.durationSeconds = 2.0;
-    profile.samples = check + sink + untagged;
-    profile.dropped = 1;
-    profile.stageSamples[static_cast<std::size_t>(
-        obs::ProfStage::Check)] = check;
-    profile.stageSamples[static_cast<std::size_t>(
-        obs::ProfStage::Sink)] = sink;
-    profile.stageSamples[static_cast<std::size_t>(
-        obs::ProfStage::None)] = untagged;
-    obs::ProfileStack stack;
-    stack.stage = obs::ProfStage::Check;
-    stack.count = check;
-    stack.frames = {"main", "WorkflowMonitor::feed",
-                    "InterleavedChecker::feed"};
-    profile.stacks.push_back(stack);
-    stack = {};
-    stack.stage = obs::ProfStage::Sink;
-    stack.count = sink;
-    stack.frames = {"main", "ingestLoop"};
-    profile.stacks.push_back(stack);
-    stack = {};
-    stack.stage = obs::ProfStage::None;
-    stack.count = untagged;
-    stack.frames = {"main", "idleWait"};
-    profile.stacks.push_back(stack);
-    return profile;
-}
-
-} // namespace
-
-TEST(ProfTool, TopRendersStageTableAndMinTaggedGate)
-{
-    ToolDir dir("prof_top");
-    std::string path = dir.file("profile.json");
-    std::ofstream(path) << syntheticProfile(12, 6, 2).toJson();
-    const std::string bin = SEER_PROF_BIN;
-
-    RunResult result = run(bin + " top " + path);
-    EXPECT_EQ(result.status, 0) << result.output;
-    EXPECT_NE(result.output.find("20 samples at 99 Hz"),
-              std::string::npos)
-        << result.output;
-    EXPECT_NE(result.output.find("90.0% tagged"), std::string::npos)
-        << result.output;
-    // Stage table carries check at 60% and the hottest self frame is
-    // the checker's leaf.
-    EXPECT_NE(result.output.find("check"), std::string::npos);
-    EXPECT_NE(result.output.find("60.0%"), std::string::npos)
-        << result.output;
-    EXPECT_NE(result.output.find("InterleavedChecker::feed"),
-              std::string::npos);
-
-    // The CI gate: 90% tagged clears a 0.85 floor, misses 0.95.
-    EXPECT_EQ(run(bin + " top " + path + " --min-tagged 0.85").status,
-              0);
-    RunResult failed = run(bin + " top " + path + " --min-tagged 0.95");
-    EXPECT_EQ(failed.status, 1) << failed.output;
-    EXPECT_NE(failed.output.find("FAIL: tagged fraction"),
-              std::string::npos)
-        << failed.output;
-
-    // Unreadable and non-profile inputs are usage-class failures.
-    EXPECT_EQ(run(bin + " top " + dir.file("absent.json")).status, 2);
-    std::ofstream(dir.file("other.json")) << "{\"kind\": \"HEALTH\"}";
-    EXPECT_EQ(run(bin + " top " + dir.file("other.json")).status, 2);
-}
-
-TEST(ProfTool, FoldedMatchesTheProfilesOwnCollapsedForm)
-{
-    ToolDir dir("prof_folded");
-    obs::Profile profile = syntheticProfile(12, 6, 2);
-    std::string path = dir.file("profile.json");
-    std::ofstream(path) << profile.toJson();
-
-    RunResult result =
-        run(std::string(SEER_PROF_BIN) + " folded " + path);
-    EXPECT_EQ(result.status, 0) << result.output;
-    // The JSON round-trips to exactly the folded text the profile
-    // itself renders — one archived artifact regenerates the other.
-    EXPECT_EQ(result.output, profile.toFolded());
-    EXPECT_NE(result.output.find("[check];main;"), std::string::npos)
-        << result.output;
-}
-
-TEST(ProfTool, DiffRanksGrownFramesFirstAndRefusesEmptyProfiles)
-{
-    ToolDir dir("prof_diff");
-    std::string base_path = dir.file("base.json");
-    std::string fresh_path = dir.file("fresh.json");
-    // Check share grows 60% → 80%: the checker frames must top the
-    // regression ranking; the shrinking ingest frame must not.
-    std::ofstream(base_path) << syntheticProfile(12, 6, 2).toJson();
-    std::ofstream(fresh_path) << syntheticProfile(20, 3, 2).toJson();
-    const std::string bin = SEER_PROF_BIN;
-
-    RunResult result = run(bin + " diff " + base_path + " " +
-                           fresh_path + " --limit 2");
-    EXPECT_EQ(result.status, 0) << result.output;
-    EXPECT_NE(result.output.find("base 20 samples vs fresh 25"),
-              std::string::npos)
-        << result.output;
-    std::size_t checker =
-        result.output.find("InterleavedChecker::feed");
-    ASSERT_NE(checker, std::string::npos) << result.output;
-    EXPECT_EQ(result.output.find("ingestLoop"), std::string::npos)
-        << result.output;
-
-    std::string empty_path = dir.file("empty.json");
-    std::ofstream(empty_path) << syntheticProfile(0, 0, 0).toJson();
-    RunResult refused =
-        run(bin + " diff " + base_path + " " + empty_path);
-    EXPECT_EQ(refused.status, 2) << refused.output;
-    EXPECT_NE(refused.output.find("empty profile"), std::string::npos);
 }
 
 // --- idle-stream warnings (seer_stats --follow, seer_pulse watch) -----

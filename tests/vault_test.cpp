@@ -760,7 +760,7 @@ TEST_F(VaultMonitorTest, StageClockTimesOneHistogramPerStage)
     vaulted.feedLine(logging::encodeLogLine(records[0]));
 
     // Exactly one histogram per tagged stage the monitor passes
-    // through, named after the profiler's stage, plus the totals.
+    // through, named after its stage, plus the totals.
     std::set<std::string> histograms;
     std::istringstream text(vaulted.monitor().prometheusText());
     for (std::string line; std::getline(text, line);) {
@@ -775,12 +775,11 @@ TEST_F(VaultMonitorTest, StageClockTimesOneHistogramPerStage)
     }
     std::set<std::string> expected = {"seer_feed_latency_us",
                                       "seer_wal_append_us"};
-    for (obs::ProfStage stage :
-         {obs::ProfStage::Sink, obs::ProfStage::Parse,
-          obs::ProfStage::Route, obs::ProfStage::Check,
-          obs::ProfStage::Verdict}) {
+    for (obs::Stage stage :
+         {obs::Stage::Sink, obs::Stage::Parse, obs::Stage::Route,
+          obs::Stage::Check, obs::Stage::Verdict}) {
         expected.insert(std::string("seer_stage_") +
-                        obs::profStageName(stage) + "_us");
+                        obs::stageName(stage) + "_us");
     }
     EXPECT_EQ(histograms, expected);
 
@@ -788,16 +787,16 @@ TEST_F(VaultMonitorTest, StageClockTimesOneHistogramPerStage)
     obs::Observability &sinks = *vaulted.monitor().observability();
     obs::StageClock &clock = *sinks.stageClock();
     ASSERT_EQ(clock.total().count(), 1u);
-    EXPECT_EQ(clock.laps(obs::ProfStage::WalAppend),
+    EXPECT_EQ(clock.laps(obs::Stage::WalAppend),
               sinks.walAppendLatency());
     double laps = 0.0;
-    for (int stage = 0; stage < obs::kProfStageCount; ++stage) {
+    for (int stage = 0; stage < obs::kStageCount; ++stage) {
         const obs::Histogram *lap =
-            clock.laps(static_cast<obs::ProfStage>(stage));
+            clock.laps(static_cast<obs::Stage>(stage));
         if (lap == nullptr)
             continue;
-        EXPECT_EQ(lap->count(), 1u) << obs::profStageName(
-            static_cast<obs::ProfStage>(stage));
+        EXPECT_EQ(lap->count(), 1u) << obs::stageName(
+            static_cast<obs::Stage>(stage));
         laps += lap->sum();
     }
     EXPECT_GT(laps, 0.0);
@@ -807,6 +806,6 @@ TEST_F(VaultMonitorTest, StageClockTimesOneHistogramPerStage)
     for (std::size_t i = 1; i <= obs::StageClock::kLapEvery; ++i)
         vaulted.feed(records[i]);
     EXPECT_EQ(clock.total().count(), obs::StageClock::kLapEvery + 1);
-    EXPECT_EQ(clock.laps(obs::ProfStage::Check)->count(), 2u);
-    EXPECT_EQ(clock.laps(obs::ProfStage::WalAppend)->count(), 2u);
+    EXPECT_EQ(clock.laps(obs::Stage::Check)->count(), 2u);
+    EXPECT_EQ(clock.laps(obs::Stage::WalAppend)->count(), 2u);
 }
