@@ -103,8 +103,7 @@ BM_FrontEndLine(benchmark::State &state)
     std::vector<logging::VariableRef> vars;
     extractor.scan(kBody, templ, vars);
     system.catalog->intern("nova-api", templ);
-    logging::IdentifierInterner &interner =
-        logging::IdentifierInterner::process();
+    logging::IdentifierInterner interner;
     std::vector<logging::IdToken> tokens;
     for (auto _ : state) {
         std::optional<logging::LogRecord> record =
@@ -128,8 +127,7 @@ void
 BM_IdentifierSetOverlap(benchmark::State &state)
 {
     common::Rng rng(1);
-    logging::IdentifierInterner &interner =
-        logging::IdentifierInterner::process();
+    logging::IdentifierInterner interner;
     std::vector<logging::IdToken> pool;
     for (int i = 0; i < 24; ++i)
         pool.push_back(interner.intern(common::makeUuid(rng)));
@@ -151,8 +149,7 @@ BM_IdentifierIntern(benchmark::State &state)
     std::vector<std::string> ids;
     for (int i = 0; i < 256; ++i)
         ids.push_back(common::makeUuid(rng));
-    logging::IdentifierInterner &interner =
-        logging::IdentifierInterner::process();
+    logging::IdentifierInterner interner;
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(interner.intern(ids[i % ids.size()]));
@@ -297,15 +294,23 @@ BENCHMARK(BM_MonitorScalesWithUsers)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+/** The monitor datasetReports() feeds; its interner resolves the
+ *  reports' identifier tokens. */
+core::WorkflowMonitor &
+datasetMonitor()
+{
+    static core::WorkflowMonitor monitor(
+        core::MonitorConfig{}, models().catalog, models().automataCopy());
+    return monitor;
+}
+
 /** Every report the monitor makes on the benchmark dataset. */
 const std::vector<core::MonitorReport> &
 datasetReports()
 {
     static std::vector<core::MonitorReport> reports = [] {
         std::vector<core::MonitorReport> out;
-        core::WorkflowMonitor monitor(core::MonitorConfig{},
-                                      models().catalog,
-                                      models().automataCopy());
+        core::WorkflowMonitor &monitor = datasetMonitor();
         for (const logging::LogRecord &record : dataset().stream)
             for (core::MonitorReport &report : monitor.feed(record))
                 out.push_back(std::move(report));
@@ -367,7 +372,7 @@ BM_ForensicBundle(benchmark::State &state)
     const std::vector<core::MonitorReport> &reports = datasetReports();
     const logging::TemplateCatalog &catalog = *models().catalog;
     const logging::IdentifierInterner &interner =
-        logging::IdentifierInterner::process();
+        datasetMonitor().interner();
     std::size_t next = 0;
     std::size_t reserve = 0;
     for (auto _ : state) {

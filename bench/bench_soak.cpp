@@ -393,7 +393,7 @@ main(int argc, char **argv)
         const core::IngestStats &ingest =
             vaulted->monitor().ingestStats();
         const logging::InternerStats interner =
-            logging::IdentifierInterner::process().stats();
+            vaulted->monitor().interner().stats();
         row.rssKb = readRssKb();
         row.activeGroups = vaulted->monitor().activeGroups();
         row.memoryEvictions = ingest.memoryEvictions;

@@ -38,10 +38,10 @@ const std::uint32_t (*crcTables())[256]
 } // namespace
 
 std::uint32_t
-crc32(std::string_view data)
+crc32(std::string_view data, std::uint32_t seed)
 {
     const std::uint32_t(*t)[256] = crcTables();
-    std::uint32_t crc = 0xFFFFFFFFu;
+    std::uint32_t crc = seed ^ 0xFFFFFFFFu;
     const char *p = data.data();
     std::size_t n = data.size();
     while (n >= 4) {

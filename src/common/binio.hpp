@@ -30,8 +30,12 @@
 
 namespace cloudseer::common {
 
-/** CRC-32 (reflected, poly 0xEDB88320) of a byte span. */
-std::uint32_t crc32(std::string_view data);
+/**
+ * CRC-32 (reflected, poly 0xEDB88320) of a byte span. `seed` is the
+ * CRC of the bytes before it, so crc32(b, crc32(a)) == crc32(a + b):
+ * a frame checksums its pieces where they lie.
+ */
+std::uint32_t crc32(std::string_view data, std::uint32_t seed = 0);
 
 /** Append-only little-endian encoder over an owned byte buffer. */
 class BinWriter
@@ -61,6 +65,10 @@ class BinWriter
 
     /** Drop the encoded bytes, keeping capacity (hot-path reuse). */
     void clear() { buffer.clear(); }
+
+    /** Make room for `bytes` in total, so writing up to that many
+     *  never regrows (and copies) the buffer. */
+    void reserve(std::size_t bytes) { buffer.reserve(bytes); }
 
   private:
     std::string buffer;

@@ -9,7 +9,6 @@
 #include "common/string_util.hpp"
 #include "common/version.hpp"
 #include "core/monitor/report_json.hpp"
-#include "logging/identifier_interner.hpp"
 #include "logging/record_binio.hpp"
 
 namespace cloudseer::core {
@@ -19,11 +18,9 @@ hardenedIngestDefaults()
 {
     IngestConfig config;
     config.reorderWindowSeconds = 0.25;
-    config.reorderBufferCap = 4096;
     config.clampNonMonotonic = true;
     config.dedupWindowSeconds = 5.0;
     config.maxActiveGroups = 256;
-    config.quarantineSampleCap = 16;
     return config;
 }
 
@@ -70,13 +67,7 @@ WorkflowMonitor::WorkflowMonitor(
         stageClock = obsPtr->stageClock();
     }
 
-    // seer-vault: cap the process-wide interner when asked. Only a
-    // non-zero knob touches the singleton — the default leaves other
-    // monitors in the process unaffected.
-    if (config.ingest.maxInternerEntries > 0) {
-        logging::IdentifierInterner::process().setCapacity(
-            config.ingest.maxInternerEntries);
-    }
+    identifiers.setCapacity(config.ingest.maxInternerEntries);
 
     // seer-flight: install the latency criterion when profiles ship
     // with the model. Tasks without a sampled profile stay exempt.
@@ -215,7 +206,7 @@ WorkflowMonitor::bufferAndRelease(const logging::LogRecord &record,
     }
     // Overflow: force the oldest out rather than buffering unboundedly
     // (a stuck node clock must not wedge the monitor).
-    while (reorderBuffer.size() > config.ingest.reorderBufferCap) {
+    while (reorderBuffer.size() > kReorderBufferCap) {
         logging::LogRecord forced =
             std::move(reorderBuffer.front().record);
         reorderBuffer.pop_front();
@@ -268,8 +259,7 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
                 !config.numbersAsIdentifiers) {
                 continue;
             }
-            logging::IdToken token =
-                logging::IdentifierInterner::process().intern(var.text);
+            logging::IdToken token = identifiers.intern(var.text);
             // A capped interner refuses new identifiers; the message
             // checks on without the refused token (degraded routing
             // precision, bounded memory).
@@ -392,7 +382,7 @@ WorkflowMonitor::feedLine(const std::string &line)
             ++ingest.malformedBadHeader;
             break;
         }
-        if (quarantined.size() < config.ingest.quarantineSampleCap)
+        if (quarantined.size() < kQuarantineSampleCap)
             quarantined.push_back({line, why});
         // Malformed lines never reach feed(), so capture them here —
         // garbage on the wire is exactly what a postmortem wants to
@@ -492,8 +482,7 @@ WorkflowMonitor::healthSample() const
     s.reorderBufferPeak = ingest.reorderBufferPeak;
     s.memoryEvictions = ingest.memoryEvictions;
 
-    logging::InternerStats interner =
-        logging::IdentifierInterner::process().stats();
+    logging::InternerStats interner = identifiers.stats();
     s.internerSize = interner.size;
     s.internerHits = interner.hits;
     s.internerMisses = interner.misses;
@@ -603,8 +592,7 @@ WorkflowMonitor::captureBundles(const std::vector<MonitorReport> &reports)
             // far: the stored string is the only allocation once warm.
             std::string bundle;
             bundle.reserve(bundleBytesPeak);
-            appendBundleJson(bundle, report, *catalogPtr,
-                             logging::IdentifierInterner::process(),
+            appendBundleJson(bundle, report, *catalogPtr, identifiers,
                              *obsPtr->flight());
             bundleBytesPeak = std::max(bundleBytesPeak, bundle.size());
             obsPtr->flight()->addBundle(std::move(bundle));
@@ -628,6 +616,7 @@ WorkflowMonitor::chromeTraceJson() const
 void
 WorkflowMonitor::saveState(common::BinWriter &out) const
 {
+    identifiers.snapshotState(out);
     out.writeF64(lastTimestamp);
     out.writeBool(anyFed);
 
@@ -675,6 +664,8 @@ WorkflowMonitor::saveState(common::BinWriter &out) const
 bool
 WorkflowMonitor::restoreState(common::BinReader &in)
 {
+    if (!identifiers.restoreState(in))
+        return false;
     lastTimestamp = in.readF64();
     anyFed = in.readBool();
 

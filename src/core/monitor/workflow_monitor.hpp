@@ -28,6 +28,7 @@
 #include "core/checker/interleaved_checker.hpp"
 #include "core/monitor/report.hpp"
 #include "core/monitor/timeout_estimator.hpp"
+#include "logging/identifier_interner.hpp"
 #include "logging/log_codec.hpp"
 #include "logging/log_record.hpp"
 #include "logging/variable_extractor.hpp"
@@ -35,6 +36,16 @@
 #include "obs/pulse.hpp"
 
 namespace cloudseer::core {
+
+/**
+ * Hard bound on records in the reorder buffer. On overflow the oldest
+ * records are force-released (counted in IngestStats) so a stalled
+ * watermark can never grow the buffer without bound.
+ */
+inline constexpr std::size_t kReorderBufferCap = 4096;
+
+/** Malformed lines retained verbatim for diagnosis, per monitor. */
+inline constexpr std::size_t kQuarantineSampleCap = 16;
 
 /**
  * Ingest-hardening knobs. Every field's default disables its guard,
@@ -52,13 +63,6 @@ struct IngestConfig
      * 0 = no buffering (records flow straight through).
      */
     double reorderWindowSeconds = 0.0;
-
-    /**
-     * Hard bound on buffered records. On overflow the oldest records
-     * are force-released (counted in IngestStats) so a stalled
-     * watermark can never grow the buffer without bound.
-     */
-    std::size_t reorderBufferCap = 4096;
 
     /**
      * Clamp non-monotonic message timestamps to the monitor clock
@@ -84,9 +88,6 @@ struct IngestConfig
      */
     std::size_t maxActiveGroups = 0;
 
-    /** Malformed lines retained verbatim for diagnosis, per monitor. */
-    std::size_t quarantineSampleCap = 16;
-
     /**
      * Memory ceiling over checker state (seer-vault, DESIGN.md §13):
      * when the checker's deterministic size estimate exceeds this many
@@ -107,11 +108,10 @@ struct IngestConfig
     std::uint64_t memoryCheckInterval = 64;
 
     /**
-     * Cap on the process-wide identifier interner (seer-vault).
-     * Non-zero installs the capacity at monitor construction; new
+     * Cap on this monitor's identifier interner (seer-vault). New
      * identifiers past the cap are refused (routing precision degrades
      * for them; memory does not grow) and tallied in seer-scope. 0 —
-     * the default — leaves the interner untouched and bit-identical.
+     * the default — leaves the interner uncapped.
      */
     std::size_t maxInternerEntries = 0;
 };
@@ -296,6 +296,12 @@ class WorkflowMonitor
         return *catalogPtr;
     }
 
+    /** This monitor's identifier interner (tokens in its reports). */
+    const logging::IdentifierInterner &interner() const
+    {
+        return identifiers;
+    }
+
     /** The automata being monitored against. */
     const std::vector<TaskAutomaton> &automata() const
     {
@@ -423,21 +429,22 @@ class WorkflowMonitor
     }
 
     /**
-     * Serialise the full mutable monitor state: clock, ingest
-     * counters, quarantine, reorder buffer, dedup window, timeout
-     * policy, checker, and (when configured) observability.
-     * Config, catalog, and automata are construction inputs and are
-     * the caller's to re-supply; the process-wide interner is
-     * snapshotted separately by the vault (it outlives any monitor).
+     * Serialise the full mutable monitor state: identifier interner
+     * (first), clock, ingest counters, quarantine, reorder buffer,
+     * dedup window, timeout policy, checker, and (when configured)
+     * observability. Config, catalog, and automata are construction
+     * inputs and are the caller's to re-supply.
      */
     void saveState(common::BinWriter &out) const;
 
     /**
      * Overwrite this monitor from a saveState image taken by a
      * monitor with the same config, catalog, automata, and
-     * observability shape. After a successful restore, feeding the
-     * remaining stream yields reports bit-identical to the
-     * uninterrupted run's.
+     * observability shape. The interner is replaced wholesale, so
+     * the image restores whatever else the process has interned.
+     * After a successful restore, feeding the remaining stream yields
+     * reports bit-identical to the uninterrupted run's. A refused
+     * restore may leave the monitor half-overwritten: rebuild it.
      */
     bool restoreState(common::BinReader &in);
 
@@ -454,6 +461,7 @@ class WorkflowMonitor
     std::shared_ptr<logging::TemplateCatalog> catalogPtr;
     std::vector<TaskAutomaton> specs;
     logging::VariableExtractor extractor;
+    logging::IdentifierInterner identifiers;
     analysis::LintReport loadReport;
 
     /** Algorithm 2 over the automata in `specs` (declared after it). */

@@ -27,7 +27,6 @@ IdToken
 IdentifierInterner::intern(std::string_view value)
 {
     const std::uint64_t hash = hashText(value);
-    std::lock_guard<std::mutex> lock(mutex);
     IdToken token = lookup(value, hash);
     if (token != kInvalidIdToken) {
         ++hitCount;
@@ -44,15 +43,12 @@ IdentifierInterner::intern(std::string_view value)
 IdToken
 IdentifierInterner::find(std::string_view value) const
 {
-    const std::uint64_t hash = hashText(value);
-    std::lock_guard<std::mutex> lock(mutex);
-    return lookup(value, hash);
+    return lookup(value, hashText(value));
 }
 
 const std::string &
 IdentifierInterner::text(IdToken token) const
 {
-    std::lock_guard<std::mutex> lock(mutex);
     CS_ASSERT(token < tokens.size(), "identifier token out of range");
     return tokens[token];
 }
@@ -60,14 +56,12 @@ IdentifierInterner::text(IdToken token) const
 std::size_t
 IdentifierInterner::size() const
 {
-    std::lock_guard<std::mutex> lock(mutex);
     return tokens.size();
 }
 
 InternerStats
 IdentifierInterner::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex);
     InternerStats out;
     out.size = tokens.size();
     out.hits = hitCount;
@@ -80,21 +74,12 @@ IdentifierInterner::stats() const
 void
 IdentifierInterner::setCapacity(std::size_t max_entries)
 {
-    std::lock_guard<std::mutex> lock(mutex);
     maxEntries = max_entries;
-}
-
-std::size_t
-IdentifierInterner::capacityLimit() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return maxEntries;
 }
 
 void
 IdentifierInterner::snapshotState(common::BinWriter &out) const
 {
-    std::lock_guard<std::mutex> lock(mutex);
     out.writeU64(tokens.size());
     for (const std::string &entry : tokens)
         out.writeString(entry);
@@ -107,41 +92,28 @@ IdentifierInterner::snapshotState(common::BinWriter &out) const
 bool
 IdentifierInterner::restoreState(common::BinReader &in)
 {
-    std::lock_guard<std::mutex> lock(mutex);
-    std::uint64_t count = in.readU64();
-    if (!in.ok())
-        return false;
-    for (std::uint64_t expected = 0; expected < count; ++expected) {
+    // Build the image aside and swap it in only once it all decodes,
+    // so a refused image leaves this table as it was. Each text costs
+    // at least its 8-byte length prefix.
+    IdentifierInterner image;
+    std::uint64_t count = in.readCount(8);
+    image.tokens.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count && in.ok(); ++i) {
         std::string entry = in.readString();
-        if (!in.ok())
-            return false;
         const std::uint64_t hash = hashText(entry);
-        IdToken token = lookup(entry, hash);
-        if (token == kInvalidIdToken)
-            token = append(entry, hash);
-        if (token != static_cast<IdToken>(expected)) {
-            in.fail();
-            return false;
-        }
+        if (image.lookup(entry, hash) != kInvalidIdToken)
+            in.fail(); // a repeated text would alias two tokens
+        else
+            image.append(entry, hash);
     }
-    std::uint64_t hits = in.readU64();
-    std::uint64_t misses = in.readU64();
-    std::uint64_t cap = in.readU64();
-    std::uint64_t rejected = in.readU64();
+    image.hitCount = in.readU64();
+    image.missCount = in.readU64();
+    image.maxEntries = static_cast<std::size_t>(in.readU64());
+    image.capRejectedCount = in.readU64();
     if (!in.ok())
         return false;
-    hitCount = hits;
-    missCount = misses;
-    maxEntries = static_cast<std::size_t>(cap);
-    capRejectedCount = rejected;
+    *this = std::move(image);
     return true;
-}
-
-IdentifierInterner &
-IdentifierInterner::process()
-{
-    static IdentifierInterner instance;
-    return instance;
 }
 
 } // namespace cloudseer::logging

@@ -9,35 +9,32 @@
  * is an implementation detail — no checker behaviour depends on token
  * order, only on token identity.
  *
- * The process-wide instance (IdentifierInterner::process()) is what
- * the monitor's extraction path uses, mirroring how TemplateCatalog
- * owns template text. Unlike templates, the identifier universe is
- * unbounded (every VM boot mints fresh UUIDs); the interner therefore
- * grows for the life of the process unless a capacity is configured
- * (seer-vault, DESIGN.md §13): at capacity, intern() refuses new
- * identifiers with kInvalidIdToken and tallies the rejection, so a
- * hostile identifier flood degrades routing precision instead of
- * memory. Epoch-based compaction once all id-sets referencing a token
- * have retired is still future work (DESIGN.md §9).
+ * Each WorkflowMonitor owns its interner, the way CloudSeer's checker
+ * owns its identifier sets: nothing on the monitor path shares a table
+ * with another monitor in the process, and only the monitor's feed
+ * thread touches it, so there is no lock. Unlike templates, the
+ * identifier universe is unbounded (every VM boot mints fresh UUIDs);
+ * the interner therefore grows for the life of its monitor unless a
+ * capacity is configured (seer-vault, DESIGN.md §13): at capacity,
+ * intern() refuses new identifiers with kInvalidIdToken and tallies
+ * the rejection, so a hostile identifier flood degrades routing
+ * precision instead of memory. Epoch-based compaction once all id-sets
+ * referencing a token have retired is still future work (DESIGN.md §9).
  *
  * The index is a FlatIndex of (hash, token) slots over `tokens`, so
  * each identifier's text is stored once and growth moves 8-byte slots
  * rather than rehashing strings (DESIGN.md §18).
  *
  * Snapshot/restore (seer-vault): snapshotState writes the full
- * token→text table; restoreState re-interns each text in token order
- * and demands the resulting token match the saved one. That holds in
- * the process that wrote the snapshot (tokens are stable and the
- * table only grows) and in a fresh process whose interner has not
- * diverged — restoring over an incompatible table refuses rather
- * than silently renumbering, because checker state stores raw tokens.
+ * token→text table and the tallies; restoreState replaces this
+ * interner with the image wholesale, so the restored numbering is the
+ * snapshot's whatever this table held before.
  */
 
 #ifndef CLOUDSEER_LOGGING_IDENTIFIER_INTERNER_HPP
 #define CLOUDSEER_LOGGING_IDENTIFIER_INTERNER_HPP
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -93,7 +90,8 @@ class IdentifierInterner
     /** Number of interned identifiers. */
     std::size_t size() const;
 
-    /** Table size and hit/miss tallies since process start. */
+    /** Table size and hit/miss tallies since construction (or as
+     *  restored). */
     InternerStats stats() const;
 
     /**
@@ -104,9 +102,6 @@ class IdentifierInterner
      */
     void setCapacity(std::size_t max_entries);
 
-    /** Configured growth cap (0 = unlimited). */
-    std::size_t capacityLimit() const;
-
     /**
      * Serialise the table and tallies (seer-vault). The token→text
      * table is written in token order, so restore can reproduce the
@@ -115,34 +110,38 @@ class IdentifierInterner
     void snapshotState(common::BinWriter &out) const;
 
     /**
-     * Restore a snapshotState image by re-interning every text in
-     * token order. Fails (returns false, table untouched beyond the
-     * re-interns already applied) when any text resolves to a token
-     * other than the saved one — i.e. when this process's table has
-     * diverged from the snapshot's. Tallies and the capacity are
-     * overwritten on success.
+     * Replace this interner with a snapshotState image. Refuses
+     * (returns false, this interner untouched) a truncated image, a
+     * token count the bytes left cannot hold, or a text that appears
+     * twice.
      */
     bool restoreState(common::BinReader &in);
 
-    /** The process-wide instance the extraction path interns into. */
-    static IdentifierInterner &process();
+    /**
+     * A process-wide instance, for callers with no monitor (bare
+     * checkers in tests and benchmarks). No monitor interns into it.
+     */
+    static IdentifierInterner &
+    process()
+    {
+        static IdentifierInterner instance;
+        return instance;
+    }
 
   private:
     std::vector<std::string> tokens; // token -> text
     FlatIndex index;                 // hashText(text) -> token
 
-    /** Token of `value` (hashed `hash`); kInvalidIdToken when absent.
-     *  Caller holds the mutex. */
+    /** Token of `value` (hashed `hash`); kInvalidIdToken when absent. */
     IdToken lookup(std::string_view value, std::uint64_t hash) const;
 
-    /** Append `value` as the next token. Caller holds the mutex. */
+    /** Append `value` as the next token. */
     IdToken append(std::string_view value, std::uint64_t hash);
 
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
     std::size_t maxEntries = 0; ///< 0 = unlimited
     std::uint64_t capRejectedCount = 0;
-    mutable std::mutex mutex;
 };
 
 } // namespace cloudseer::logging

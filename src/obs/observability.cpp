@@ -188,7 +188,7 @@ Observability::Observability(const ObsConfig &config)
         flightPtr = std::make_unique<FlightRecorder>(cfg.flightRecorder);
     if (cfg.tracing) {
         tracerPtr =
-            std::make_unique<ExecutionTracer>(cfg.maxTraceSpans);
+            std::make_unique<ExecutionTracer>(kMaxTraceSpans);
         if (cfg.metrics) {
             tracerPtr->attachHistograms(
                 &registry.histogram(
@@ -250,11 +250,11 @@ Observability::addSnapshot(const HealthSample &sample)
     anySnapshot = true;
     updateRegistry(sample);
     history.push_back(sample);
-    if (history.size() > cfg.maxSnapshots)
+    if (history.size() > kMaxSnapshots)
         history.erase(history.begin(),
                       history.begin() +
                           static_cast<std::ptrdiff_t>(
-                              history.size() - cfg.maxSnapshots));
+                              history.size() - kMaxSnapshots));
 }
 
 void
@@ -329,7 +329,7 @@ Observability::updateRegistry(const HealthSample &s)
       static_cast<double>(s.activeIdentifierSets));
     g("seer_reorder_buffer_peak", "largest reorder-buffer depth seen",
       static_cast<double>(s.reorderBufferPeak));
-    g("seer_interner_size", "identifiers interned process-wide",
+    g("seer_interner_size", "identifiers interned by this monitor",
       static_cast<double>(s.internerSize));
     double lookups =
         static_cast<double>(s.internerHits + s.internerMisses);

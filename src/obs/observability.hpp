@@ -33,6 +33,12 @@
 
 namespace cloudseer::obs {
 
+/** Closed spans retained before the oldest are dropped. */
+inline constexpr std::size_t kMaxTraceSpans = 4096;
+
+/** Health snapshots retained (ring; oldest dropped). */
+inline constexpr std::size_t kMaxSnapshots = 4096;
+
 /** Observability knobs. Every default is off (the null sink). */
 struct ObsConfig
 {
@@ -48,12 +54,6 @@ struct ObsConfig
      * stream produce the same snapshot series). 0 = off.
      */
     double snapshotIntervalSeconds = 0.0;
-
-    /** Closed spans retained before the oldest are dropped. */
-    std::size_t maxTraceSpans = 4096;
-
-    /** Health snapshots retained (ring; oldest dropped). */
-    std::size_t maxSnapshots = 4096;
 
     /** Flight recorder (seer-flight forensics); default off. */
     FlightRecorderConfig flightRecorder;
@@ -196,7 +196,7 @@ class Observability
      */
     void addSnapshot(const HealthSample &sample);
 
-    /** Snapshot series, oldest first (bounded by maxSnapshots). */
+    /** Snapshot series, oldest first (bounded by kMaxSnapshots). */
     const std::vector<HealthSample> &snapshots() const
     {
         return history;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 
 #include "logging/record_binio.hpp"
 
@@ -10,15 +11,11 @@ namespace cloudseer::vault {
 namespace {
 
 /** Little-endian u32, matching BinWriter's integer encoding. */
-std::string
-encodeU32(std::uint32_t value)
+void
+putU32(char *out, std::uint32_t value)
 {
-    std::string out(4, '\0');
-    for (int i = 0; i < 4; ++i) {
-        out[static_cast<std::size_t>(i)] =
-            static_cast<char>((value >> (8 * i)) & 0xffu);
-    }
-    return out;
+    for (int i = 0; i < 4; ++i)
+        out[i] = static_cast<char>((value >> (8 * i)) & 0xffu);
 }
 
 std::uint32_t
@@ -36,32 +33,44 @@ decodeU32(const char *bytes)
 /** Magic (8 bytes) + version (u32). */
 constexpr std::size_t kHeaderBytes = 12;
 
-} // namespace
-
-/** One frame's on-disk bytes: [u32 len][u32 crc][payload]. */
-std::string
-frameBytes(const std::string &payload)
+/** A frame's 8-byte [u32 len][u32 crc] header. */
+void
+putFrameHeader(char *out, std::size_t len, std::uint32_t crc)
 {
-    std::string out =
-        encodeU32(static_cast<std::uint32_t>(payload.size()));
-    out += encodeU32(common::crc32(payload));
-    out += payload;
-    return out;
+    putU32(out, static_cast<std::uint32_t>(len));
+    putU32(out + 4, crc);
 }
+
+/** Write one frame whose payload is `head` followed by `body`,
+ *  checksummed where they lie instead of joined into a copy. */
+void
+writeFrame(std::ofstream &out, std::string_view head,
+           std::string_view body)
+{
+    char header[8];
+    putFrameHeader(header, head.size() + body.size(),
+                   common::crc32(body, common::crc32(head)));
+    out.write(header, 8);
+    out.write(head.data(), static_cast<std::streamsize>(head.size()));
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+}
+
+} // namespace
 
 void
 appendFrame(std::ofstream &out, const std::string &payload)
 {
-    std::string frame = frameBytes(payload);
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+    writeFrame(out, {}, payload);
     out.flush();
 }
 
 bool
 writeFileHeader(std::ofstream &out, const char *magic)
 {
+    char version[4];
+    putU32(version, kVaultVersion);
     out.write(magic, 8);
-    out << encodeU32(kVaultVersion);
+    out.write(version, 4);
     out.flush();
     return out.good();
 }
@@ -135,12 +144,7 @@ WriteAheadLedger::enqueue()
     // pending both keep their capacity across appends.
     const std::string &payload = scratch.bytes();
     char header[8];
-    std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-    std::uint32_t crc = common::crc32(payload);
-    for (int i = 0; i < 4; ++i) {
-        header[i] = static_cast<char>((len >> (8 * i)) & 0xffu);
-        header[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xffu);
-    }
+    putFrameHeader(header, payload.size(), common::crc32(payload));
     pending.append(header, 8);
     pending += payload;
     if (pending.size() >= kGroupCommitBytes)
@@ -163,14 +167,8 @@ WriteAheadLedger::sealFrame(std::size_t start)
 {
     std::string_view payload(pending.data() + start + 8,
                              pending.size() - start - 8);
-    auto len = static_cast<std::uint32_t>(payload.size());
-    std::uint32_t crc = common::crc32(payload);
-    for (int i = 0; i < 4; ++i) {
-        pending[start + static_cast<std::size_t>(i)] =
-            static_cast<char>((len >> (8 * i)) & 0xffu);
-        pending[start + static_cast<std::size_t>(4 + i)] =
-            static_cast<char>((crc >> (8 * i)) & 0xffu);
-    }
+    putFrameHeader(pending.data() + start, payload.size(),
+                   common::crc32(payload));
     if (pending.size() >= kGroupCommitBytes)
         flush();
 }
@@ -297,16 +295,18 @@ writeCheckpoint(
             !writeFileHeader(out, kCheckpointMagic)) {
             return 0;
         }
-        for (const auto &[kind, body] : sections) {
-            std::string payload =
-                encodeU32(static_cast<std::uint32_t>(kind));
-            payload += body;
-            appendFrame(out, payload);
-        }
-        appendFrame(
-            out,
-            encodeU32(static_cast<std::uint32_t>(
-                CheckpointSection::End)));
+        // Each frame's payload is the section kind then its body,
+        // written straight from the caller's buffer.
+        auto section = [&out](CheckpointSection kind,
+                              std::string_view body) {
+            char tag[4];
+            putU32(tag, static_cast<std::uint32_t>(kind));
+            writeFrame(out, std::string_view(tag, 4), body);
+        };
+        for (const auto &[kind, body] : sections)
+            section(kind, body);
+        section(CheckpointSection::End, {});
+        out.flush();
         if (!out.good()) {
             return 0;
         }

@@ -9,9 +9,10 @@
  *    record), appended *before* the input reaches the monitor. Frames
  *    are length-prefixed and CRC-checksummed; a torn tail from a
  *    crash mid-append is detected and discarded, never misread.
- *  - `checkpoint.ckpt` — a periodic full snapshot of monitor +
- *    interner state, written to a temp file and atomically renamed,
- *    so a crash mid-checkpoint leaves the previous checkpoint intact.
+ *  - `checkpoint.ckpt` — a periodic full snapshot of the monitor's
+ *    state, its identifier interner included, written to a temp file
+ *    and atomically renamed, so a crash mid-checkpoint leaves the
+ *    previous checkpoint intact.
  *
  * Restore = load the newest checkpoint, then replay the ledger tail.
  * Every ledger frame carries the absolute input sequence number and
@@ -100,8 +101,11 @@ inline constexpr std::size_t kGroupCommitBytes = 32 * 1024;
 enum class CheckpointSection : std::uint32_t
 {
     Meta = 1,     ///< fingerprint, covered ledger seq, monitor clock
-    Interner = 2, ///< process-wide identifier interner image
-    Monitor = 3,  ///< full WorkflowMonitor state
+    /// Retired marker: images from before the monitor owned its
+    /// interner carried the process table here. Recovery refuses an
+    /// image that still has it.
+    Interner = 2,
+    Monitor = 3,  ///< full WorkflowMonitor state, interner first
     End = 4,      ///< terminator (an image without it is incomplete)
 };
 

@@ -18,6 +18,7 @@
 #include "core/automaton/automaton_instance.hpp"
 #include "core/checker/automaton_group.hpp"
 #include "core/checker/interleaved_checker.hpp"
+#include "logging/identifier_interner.hpp"
 #include "obs/observability.hpp"
 
 using namespace cloudseer;
@@ -121,6 +122,21 @@ restoreChecker(common::BinReader &in)
 {
     core::InterleavedChecker checker(core::CheckerConfig{}, {&chain()});
     return checker.restoreState(in);
+}
+
+bool
+restoreInterner(common::BinReader &in)
+{
+    logging::IdentifierInterner interner;
+    return interner.restoreState(in);
+}
+
+/** An interner image's hits, misses, capacity and cap rejections. */
+void
+writeInternerTallies(common::BinWriter &out)
+{
+    for (int tally = 0; tally < 4; ++tally)
+        out.writeU64(0);
 }
 
 } // namespace
@@ -236,6 +252,31 @@ TEST(CraftedImageTest, CheckerRefusesHugeRelationCount)
             writeCheckerTail(out, 0, count);
         },
         restoreChecker);
+}
+
+TEST(CraftedImageTest, InternerRefusesHugeTokenCount)
+{
+    expectOnlyTheHugeCountRefused(
+        [](common::BinWriter &out, std::uint64_t count) {
+            out.writeU64(count);
+            writeInternerTallies(out);
+        },
+        restoreInterner);
+}
+
+TEST(CraftedImageTest, InternerRefusesRepeatedText)
+{
+    // A repeated text would give one identifier two tokens.
+    auto image = [](const char *second) {
+        return [second](common::BinWriter &out, std::uint64_t) {
+            out.writeU64(2);
+            out.writeString("alpha");
+            out.writeString(second);
+            writeInternerTallies(out);
+        };
+    };
+    EXPECT_TRUE(restores(image("beta"), 0, restoreInterner));
+    EXPECT_FALSE(restores(image("alpha"), 0, restoreInterner));
 }
 
 TEST(CraftedImageTest, ObservabilityRefusesHugeHistoryCount)

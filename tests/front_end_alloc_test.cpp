@@ -161,10 +161,7 @@ class BundleAllocation : public ::testing::Test
 
     /**
      * Fixed-width lines and stamps: every ring slot and context
-     * fragment keeps its length from one round to the next. The
-     * identifier is interned up front, since the process-wide interner
-     * would otherwise charge its first sight to whichever monitor
-     * sees it first.
+     * fragment keeps its length from one round to the next.
      */
     static std::vector<logging::LogRecord>
     round(int k)
@@ -172,7 +169,6 @@ class BundleAllocation : public ::testing::Test
         char uuid[37];
         std::snprintf(uuid, sizeof(uuid),
                       "%08d-aaaa-bbbb-cccc-dddddddddddd", k);
-        logging::IdentifierInterner::process().intern(uuid);
         double t = 100.0 + k;
         return {record(2 * k, t, "svc-a", std::string("ping ") + uuid,
                        logging::LogLevel::Info),

@@ -134,13 +134,12 @@ TEST_F(IngestTest, MalformedLinesAreCountedByCause)
 
 TEST_F(IngestTest, QuarantineSampleIsBounded)
 {
-    IngestConfig ingest;
-    ingest.quarantineSampleCap = 2;
-    auto monitor = makeMonitor(ingest);
-    for (int i = 0; i < 5; ++i)
+    auto monitor = makeMonitor(IngestConfig{});
+    const std::size_t lines = kQuarantineSampleCap + 3;
+    for (std::size_t i = 0; i < lines; ++i)
         monitor->feedLine("garbage line " + std::to_string(i));
-    EXPECT_EQ(monitor->ingestStats().malformed(), 5u);
-    EXPECT_EQ(monitor->quarantine().size(), 2u)
+    EXPECT_EQ(monitor->ingestStats().malformed(), lines);
+    EXPECT_EQ(monitor->quarantine().size(), kQuarantineSampleCap)
         << "counting is unbounded, retention is not";
 }
 
@@ -285,14 +284,14 @@ TEST_F(IngestTest, ReorderBufferOverflowForcesRelease)
 {
     IngestConfig ingest;
     ingest.reorderWindowSeconds = 1000.0; // watermark never ripens
-    ingest.reorderBufferCap = 2;
     auto monitor = makeMonitor(ingest, 1e6);
-    for (int i = 0; i < 5; ++i)
-        monitor->feed(ping(i + 1, 1.0 + 0.1 * i));
+    const std::size_t records = kReorderBufferCap + 3;
+    for (std::size_t i = 0; i < records; ++i)
+        monitor->feed(ping(static_cast<int>(i) + 1, 1.0 + 0.1 * i));
     EXPECT_EQ(monitor->ingestStats().forcedReleases, 3u);
     EXPECT_EQ(monitor->ingestStats().recordsDelivered, 3u);
     monitor->finish();
-    EXPECT_EQ(monitor->ingestStats().recordsDelivered, 5u)
+    EXPECT_EQ(monitor->ingestStats().recordsDelivered, records)
         << "finish must flush the buffer";
 }
 

@@ -280,8 +280,6 @@ TEST(ReportJsonReference, MonitorBundlesMatchOnPerturbedStreams)
     config.latencyCheck.quantile = 50;
     config.latencyCheck.factor = 1.0;
     config.latencyCheck.slackSeconds = 0.0;
-    const logging::IdentifierInterner &interner =
-        logging::IdentifierInterner::process();
 
     for (std::uint64_t seed : {3ull, 41ull}) {
         // Aborts that log an ERROR, so divergence bundles occur too.
@@ -328,7 +326,8 @@ TEST(ReportJsonReference, MonitorBundlesMatchOnPerturbedStreams)
                     continue;
                 ++reasons[report.event.kind];
                 want_bundles.push_back(reference::forensicBundleJson(
-                    report, *system.catalog, interner, shadow.context()));
+                    report, *system.catalog, monitor.interner(),
+                    shadow.context()));
             }
             // The retained bundles are the newest maxBundles.
             const std::vector<std::string> &got =
