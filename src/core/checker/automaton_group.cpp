@@ -99,12 +99,6 @@ AutomatonGroup::candidateTaskNames() const
     return out;
 }
 
-bool
-AutomatonGroup::equivalentTo(const AutomatonGroup &other) const
-{
-    return stateSignature() == other.stateSignature();
-}
-
 const std::string &
 AutomatonGroup::stateSignature() const
 {

@@ -111,14 +111,9 @@ class AutomatonGroup
     std::vector<std::string> candidateTaskNames() const;
 
     /**
-     * Equivalence for the paper's random-selection heuristic: same
-     * instance kinds in the same states.
-     */
-    bool equivalentTo(const AutomatonGroup &other) const;
-
-    /**
-     * Canonical state fingerprint: two groups compare equal under
-     * equivalentTo() iff their signatures are byte-equal. Cached and
+     * Canonical state fingerprint: two groups are equivalent for the
+     * paper's random-selection heuristic (same instance kinds in the
+     * same states) iff their signatures are byte-equal. Cached and
      * recomputed lazily after consumption, so the checker's
      * equivalence-class dedup hashes one string per group instead of
      * running pairwise instance-state comparisons. The encoding is

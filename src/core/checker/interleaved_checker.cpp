@@ -15,38 +15,48 @@ InterleavedChecker::InterleavedChecker(
     : config(config_), automatonSet(std::move(automata))
 {
     CS_ASSERT(!automatonSet.empty(), "checker needs at least one automaton");
+    // A template can start a sequence when some automaton's fresh
+    // instance takes it: recovery (b)'s question, answered once here.
     for (const TaskAutomaton *automaton : automatonSet) {
+        const AutomatonInstance fresh(automaton);
         for (std::size_t e = 0; e < automaton->eventCount(); ++e) {
             logging::TemplateId tpl =
                 automaton->event(static_cast<int>(e)).tpl;
-            if (tpl >= knownTemplates.size())
-                knownTemplates.resize(tpl + 1, 0);
-            knownTemplates[tpl] = 1;
+            if (tpl >= templateFlags.size())
+                templateFlags.resize(tpl + 1, 0);
+            templateFlags[tpl] |= kKnown;
+            if (fresh.canConsume(tpl))
+                templateFlags[tpl] |= kCanStart;
         }
     }
 }
 
 bool
-InterleavedChecker::templateKnown(logging::TemplateId tpl) const
+InterleavedChecker::templateHas(logging::TemplateId tpl,
+                                TemplateFlag flag) const
 {
-    return tpl != logging::kInvalidTemplate &&
-           tpl < knownTemplates.size() && knownTemplates[tpl] != 0;
+    return tpl < templateFlags.size() && (templateFlags[tpl] & flag) != 0;
 }
 
 void
 InterleavedChecker::setCertifiedTemplates(std::vector<char> certified)
 {
-    certifiedTemplates = std::move(certified);
+    if (certified.size() > templateFlags.size())
+        templateFlags.resize(certified.size(), 0);
+    for (std::size_t tpl = 0; tpl < templateFlags.size(); ++tpl) {
+        templateFlags[tpl] &= ~kCertified;
+        if (tpl < certified.size() && certified[tpl] != 0)
+            templateFlags[tpl] |= kCertified;
+    }
     certFastActive = false;
 }
 
 std::size_t
 InterleavedChecker::certifiedTemplateCount() const
 {
-    std::size_t n = 0;
-    for (char bit : certifiedTemplates)
-        n += bit != 0;
-    return n;
+    return static_cast<std::size_t>(
+        std::count_if(templateFlags.begin(), templateFlags.end(),
+                      [](std::uint8_t bits) { return bits & kCertified; }));
 }
 
 void
@@ -263,39 +273,23 @@ InterleavedChecker::candidateGroups(
 {
     std::vector<GroupId> out;
     for (std::uint64_t set_id : set_ids) {
-        auto set_it = idsets.find(set_id);
-        if (set_it == idsets.end())
-            continue;
-        const std::vector<GroupId> &members = set_it->second.groupIds;
-        if (!config.equivalentGroupDedup) {
-            for (GroupId gid : members) {
-                if (groups.count(gid))
-                    out.push_back(gid);
-            }
-            continue;
-        }
-        // seer-prove fast path: a sole-member set yields at most one
-        // class with a one-element pool — the member itself, with no
+        const std::vector<GroupId> &members = idsets.at(set_id).groupIds;
+        // seer-prove fast path: a sole-member set yields one class
+        // with a one-element pool — the member itself, with no
         // equivalence draw (pickSalt only advances for pools > 1). Skip
         // building the signature classes; the result is identical.
-        if (certFastActive && members.size() == 1) {
-            if (groups.count(members.front()))
-                out.push_back(members.front());
+        if (!config.equivalentGroupDedup ||
+            (certFastActive && members.size() == 1)) {
+            out.insert(out.end(), members.begin(), members.end());
             continue;
         }
-        // Paper heuristic 2: among equivalent groups under one set,
-        // randomly select a single representative. Classes are keyed
-        // by the cached state signature (equal signatures ⟺
-        // equivalentTo), in first-member order — the same classes the
-        // pairwise comparison used to build, without the O(members²)
-        // instance-state walks.
+        // Paper heuristic 2: among equivalent groups under one set
+        // (equal state signatures), randomly select a single
+        // representative. Classes keep first-member order.
         std::vector<std::vector<GroupId>> classes;
         std::unordered_map<std::string_view, std::size_t> class_of;
         for (GroupId gid : members) {
-            auto git = groups.find(gid);
-            if (git == groups.end())
-                continue;
-            std::string_view sig = git->second.stateSignature();
+            std::string_view sig = groups.at(gid).group.stateSignature();
             auto [cls_it, fresh] =
                 class_of.try_emplace(sig, classes.size());
             if (fresh)
@@ -309,7 +303,7 @@ InterleavedChecker::candidateGroups(
             // zombify in a self-sustaining cascade).
             std::vector<GroupId> live;
             for (GroupId gid : cls) {
-                if (!groups.at(gid).zombie())
+                if (!groups.at(gid).group.zombie())
                     live.push_back(gid);
             }
             std::vector<GroupId> &pool = live.empty() ? cls : live;
@@ -327,33 +321,11 @@ InterleavedChecker::candidateGroups(
 }
 
 void
-InterleavedChecker::contentsAdd(std::uint64_t set_id,
-                                const std::vector<IdToken> &contents)
-{
-    std::vector<std::uint64_t> &ids = setsByContents[contents];
-    ids.insert(std::lower_bound(ids.begin(), ids.end(), set_id),
-               set_id);
-}
-
-void
-InterleavedChecker::contentsRemove(std::uint64_t set_id,
-                                   const std::vector<IdToken> &contents)
-{
-    auto it = setsByContents.find(contents);
-    CS_ASSERT(it != setsByContents.end(), "contents-map entry missing");
-    auto &ids = it->second;
-    ids.erase(std::remove(ids.begin(), ids.end(), set_id), ids.end());
-    if (ids.empty())
-        setsByContents.erase(it);
-}
-
-void
 InterleavedChecker::indexAddSet(std::uint64_t set_id,
                                 const IdSetEntry &entry)
 {
     for (IdToken token : entry.ids.values())
         postings[token].push_back(set_id);
-    contentsAdd(set_id, entry.ids.values());
 }
 
 void
@@ -369,22 +341,38 @@ InterleavedChecker::indexRemoveSet(std::uint64_t set_id,
         if (list.empty())
             postings.erase(it);
     }
-    contentsRemove(set_id, entry.ids.values());
 }
 
 std::uint64_t
 InterleavedChecker::findOrCreateIdSet(IdentifierSet ids)
 {
-    if (config.routingIndex) {
-        auto it = setsByContents.find(ids.values());
-        if (it != setsByContents.end())
-            return it->second.front();
+    // The scan's answer is the lowest set id with these contents
+    // (in-place expansion can transiently alias two sets). Every such
+    // set holds the first token, so the indexed path need only walk
+    // that token's posting list, which is in insertion order, not id
+    // order. Empty contents have no posting and take the scan.
+    const std::vector<IdToken> &contents = ids.values();
+    std::uint64_t found = 0; // live set ids start at 1
+    if (config.routingIndex && !contents.empty()) {
+        auto posting = postings.find(contents.front());
+        if (posting != postings.end()) {
+            for (std::uint64_t set_id : posting->second) {
+                if ((found == 0 || set_id < found) &&
+                    idsets.at(set_id).ids.values() == contents) {
+                    found = set_id;
+                }
+            }
+        }
     } else {
-        for (auto &[set_id, entry] : idsets) {
-            if (entry.ids.values() == ids.values())
-                return set_id;
+        for (const auto &[set_id, entry] : idsets) {
+            if (entry.ids.values() == contents) {
+                found = set_id;
+                break;
+            }
         }
     }
+    if (found != 0)
+        return found;
     std::uint64_t set_id = nextIdSetId++;
     IdSetEntry entry;
     entry.ids = std::move(ids);
@@ -396,13 +384,11 @@ InterleavedChecker::findOrCreateIdSet(IdentifierSet ids)
 
 void
 InterleavedChecker::registerGroup(AutomatonGroup &&group,
-                                  IdentifierSet initial_ids)
+                                  std::uint64_t set_id)
 {
     GroupId gid = group.id();
-    std::uint64_t set_id = findOrCreateIdSet(std::move(initial_ids));
     idsets.at(set_id).groupIds.push_back(gid);
-    groupToSet[gid] = set_id;
-    groups.emplace(gid, std::move(group));
+    groups.emplace(gid, GroupSlot{std::move(group), set_id});
     if (tracer != nullptr)
         tracer->beginSpan(gid, traceNow);
 }
@@ -424,44 +410,28 @@ InterleavedChecker::traceEnd(const AutomatonGroup &group,
 }
 
 void
-InterleavedChecker::applyDecisiveIdUpdate(
-    GroupId group, const std::vector<IdToken> &view)
+InterleavedChecker::applyDecisiveIdUpdate(GroupSlot &slot,
+                                          const std::vector<IdToken> &view)
 {
-    auto map_it = groupToSet.find(group);
-    CS_ASSERT(map_it != groupToSet.end(), "group without identifier set");
-    auto set_it = idsets.find(map_it->second);
-    CS_ASSERT(set_it != idsets.end(), "dangling identifier-set id");
-    IdSetEntry &entry = set_it->second;
-
+    IdSetEntry &entry = idsets.at(slot.set);
     if (entry.groupIds.size() == 1) {
-        // seer-prove fast path: when every message token is already in
-        // the set, the insert below adds nothing — the remove/add
-        // re-key and the posting scan are identity operations. One
-        // linear overlap check skips both map round-trips.
-        if (certFastActive &&
-            entry.ids.overlap(view) == static_cast<int>(view.size())) {
-            return;
-        }
-        // Sole owner: expand in place (the paper's ID ∪ m.Sv). The
-        // index follows: new tokens gain a posting, and the set is
-        // re-keyed under its new contents.
-        contentsRemove(set_it->first, entry.ids.values());
+        // Sole owner: expand in place (the paper's ID ∪ m.Sv); new
+        // tokens gain a posting.
         std::vector<IdToken> added;
         entry.ids.insert(view, &added);
         for (IdToken token : added)
-            postings[token].push_back(set_it->first);
-        contentsAdd(set_it->first, entry.ids.values());
+            postings[token].push_back(slot.set);
         return;
     }
     // Shared set: split off an expanded copy for this group.
+    GroupId gid = slot.group.id();
     entry.groupIds.erase(std::remove(entry.groupIds.begin(),
-                                     entry.groupIds.end(), group),
+                                     entry.groupIds.end(), gid),
                          entry.groupIds.end());
     IdentifierSet expanded = entry.ids;
     expanded.insert(view);
-    std::uint64_t set_id = findOrCreateIdSet(std::move(expanded));
-    idsets.at(set_id).groupIds.push_back(group);
-    map_it->second = set_id;
+    slot.set = findOrCreateIdSet(std::move(expanded));
+    idsets.at(slot.set).groupIds.push_back(gid);
 }
 
 void
@@ -473,21 +443,15 @@ InterleavedChecker::eraseGroup(GroupId group)
     // Default span end for teardown without a report; sites with a
     // real fate (accept/error/timeout/shed) close the span first and
     // this becomes a no-op.
-    traceEnd(it->second, traceNow, obs::SpanEnd::Pruned);
-    auto map_it = groupToSet.find(group);
-    if (map_it != groupToSet.end()) {
-        auto set_it = idsets.find(map_it->second);
-        if (set_it != idsets.end()) {
-            auto &members = set_it->second.groupIds;
-            members.erase(std::remove(members.begin(), members.end(),
-                                      group),
-                          members.end());
-            if (members.empty()) {
-                indexRemoveSet(set_it->first, set_it->second);
-                idsets.erase(set_it);
-            }
-        }
-        groupToSet.erase(map_it);
+    traceEnd(it->second.group, traceNow, obs::SpanEnd::Pruned);
+    auto set_it = idsets.find(it->second.set);
+    CS_ASSERT(set_it != idsets.end(), "dangling identifier-set id");
+    auto &members = set_it->second.groupIds;
+    members.erase(std::remove(members.begin(), members.end(), group),
+                  members.end());
+    if (members.empty()) {
+        indexRemoveSet(set_it->first, set_it->second);
+        idsets.erase(set_it);
     }
     groups.erase(it);
 }
@@ -499,7 +463,7 @@ InterleavedChecker::collectDescendants(GroupId group,
     auto it = groups.find(group);
     if (it == groups.end())
         return;
-    for (GroupId child : it->second.children()) {
+    for (GroupId child : it->second.group.children()) {
         if (!groups.count(child))
             continue;
         out.push_back(child);
@@ -515,9 +479,9 @@ InterleavedChecker::pruneLineageOnAccept(GroupId winner)
     // rivalSet() == 0, the ancestor walk never starts, and there are
     // no descendants. Skip the removal-set construction.
     if (certFastActive) {
-        auto it = groups.find(winner);
-        if (it != groups.end() && it->second.rivalSet() == 0 &&
-            it->second.parent() == 0 && it->second.children().empty()) {
+        const AutomatonGroup &group = groups.at(winner).group;
+        if (group.rivalSet() == 0 && group.parent() == 0 &&
+            group.children().empty()) {
             eraseGroup(winner);
             return;
         }
@@ -527,11 +491,11 @@ InterleavedChecker::pruneLineageOnAccept(GroupId winner)
 
     auto addRivalsOf = [this, &removal](GroupId gid) {
         auto it = groups.find(gid);
-        if (it == groups.end() || it->second.rivalSet() == 0)
+        if (it == groups.end() || it->second.group.rivalSet() == 0)
             return;
-        std::uint64_t rival_set = it->second.rivalSet();
+        std::uint64_t rival_set = it->second.group.rivalSet();
         for (const auto &[other_id, other] : groups) {
-            if (other_id != gid && other.rivalSet() == rival_set) {
+            if (other_id != gid && other.group.rivalSet() == rival_set) {
                 removal.push_back(other_id);
                 collectDescendants(other_id, removal);
             }
@@ -544,12 +508,12 @@ InterleavedChecker::pruneLineageOnAccept(GroupId winner)
     collectDescendants(winner, removal);
     addRivalsOf(winner);
 
-    GroupId ancestor = groups.at(winner).parent();
+    GroupId ancestor = groups.at(winner).group.parent();
     while (ancestor != 0) {
         auto it = groups.find(ancestor);
         if (it == groups.end())
             break;
-        GroupId next = it->second.parent();
+        GroupId next = it->second.group.parent();
         removal.push_back(ancestor);
         collectDescendants(ancestor, removal);
         addRivalsOf(ancestor);
@@ -564,10 +528,10 @@ InterleavedChecker::pruneLineageOnAccept(GroupId winner)
 }
 
 CheckEvent
-InterleavedChecker::makeEvent(CheckEventKind kind,
-                              const AutomatonGroup &group,
+InterleavedChecker::makeEvent(CheckEventKind kind, const GroupSlot &slot,
                               common::SimTime time) const
 {
+    const AutomatonGroup &group = slot.group;
     CheckEvent event;
     event.kind = kind;
     event.candidateTasks = group.candidateTaskNames();
@@ -583,12 +547,7 @@ InterleavedChecker::makeEvent(CheckEventKind kind,
     }
     for (const ConsumedMessage &msg : group.history())
         event.records.push_back(msg.record);
-    auto rel = groupToSet.find(group.id());
-    if (rel != groupToSet.end()) {
-        auto set_it = idsets.find(rel->second);
-        if (set_it != idsets.end())
-            event.identifiers = set_it->second.ids.values();
-    }
+    event.identifiers = idsets.at(slot.set).ids.values();
     event.startTime = group.createdAt();
     event.time = time;
     event.group = group.id();
@@ -604,16 +563,16 @@ InterleavedChecker::harvestAcceptance(const std::vector<GroupId> &touched,
         auto it = groups.find(gid);
         if (it == groups.end())
             continue; // pruned by an earlier winner this round
-        const AutomatonInstance *accepted =
-            it->second.acceptingInstance();
+        const AutomatonGroup &group = it->second.group;
+        const AutomatonInstance *accepted = group.acceptingInstance();
         if (accepted == nullptr)
             continue;
-        if (!it->second.zombie()) {
+        if (!group.zombie()) {
             ++counters.accepted;
             CheckEvent event =
                 makeEvent(CheckEventKind::Accepted, it->second, now);
             if (latencyPolicyActive() &&
-                annotateLatency(event, it->second, *accepted)) {
+                annotateLatency(event, group, *accepted)) {
                 event.kind = CheckEventKind::LatencyAnomaly;
                 ++counters.latencyAnomalies;
             }
@@ -632,7 +591,7 @@ InterleavedChecker::harvestAcceptance(const std::vector<GroupId> &touched,
                 }
                 tracer->addTransitions(gid, std::move(slices));
             }
-            traceEnd(it->second, now, obs::SpanEnd::Accepted);
+            traceEnd(group, now, obs::SpanEnd::Accepted);
             events.push_back(std::move(event));
         }
         pruneLineageOnAccept(gid);
@@ -653,15 +612,9 @@ InterleavedChecker::applyErrorCriterion(const CheckMessage &message,
         view, -1, &overlap, config.tieBreakLeastDifference);
     GroupId chosen = 0;
     for (std::uint64_t set_id : sel) {
-        auto set_it = idsets.find(set_id);
-        if (set_it == idsets.end())
-            continue;
-        for (GroupId gid : set_it->second.groupIds) {
-            auto git = groups.find(gid);
-            if (git == groups.end())
-                continue;
-            if (chosen == 0 || (groups.at(chosen).zombie() &&
-                                !git->second.zombie())) {
+        for (GroupId gid : idsets.at(set_id).groupIds) {
+            if (chosen == 0 || (groups.at(chosen).group.zombie() &&
+                                !groups.at(gid).group.zombie())) {
                 chosen = gid;
             }
         }
@@ -669,7 +622,7 @@ InterleavedChecker::applyErrorCriterion(const CheckMessage &message,
 
     CheckEvent event;
     if (chosen != 0) {
-        traceEnd(groups.at(chosen), message.time,
+        traceEnd(groups.at(chosen).group, message.time,
                  obs::SpanEnd::Diverged);
         event = makeEvent(CheckEventKind::ErrorDetected,
                           groups.at(chosen), message.time);
@@ -692,8 +645,7 @@ InterleavedChecker::feed(const CheckMessage &message)
     traceNow = message.time;
     currentRecord = message.record;
     pickSalt = 0;
-    certFastActive = message.tpl < certifiedTemplates.size() &&
-                     certifiedTemplates[message.tpl] != 0;
+    certFastActive = templateHas(message.tpl, kCertified);
 
     // One dedup per message: every overlap / difference / insert below
     // works on this sorted-unique token view.
@@ -703,7 +655,7 @@ InterleavedChecker::feed(const CheckMessage &message)
     // Recovery (a), hoisted: a template outside every automaton's Σ can
     // never be consumed. Non-error messages pass through; error
     // messages trigger the error-message criterion.
-    if (!templateKnown(message.tpl)) {
+    if (!templateHas(message.tpl, kKnown)) {
         if (logging::isErrorLevel(message.level)) {
             applyErrorCriterion(message, view, events);
         } else {
@@ -729,20 +681,19 @@ InterleavedChecker::feed(const CheckMessage &message)
     counters.consumeAttempts += candidates.size();
     std::vector<GroupId> consuming;
     for (GroupId gid : candidates) {
-        auto it = groups.find(gid);
-        if (it != groups.end() && it->second.canConsume(message.tpl))
+        if (groups.at(gid).group.canConsume(message.tpl))
             consuming.push_back(gid);
     }
 
     auto doDecisive = [this, &message, &view, &events](GroupId gid) {
-        AutomatonGroup &group = groups.at(gid);
-        bool ok =
-            group.consume(message.tpl, message.record, message.time);
+        GroupSlot &slot = groups.at(gid);
+        bool ok = slot.group.consume(message.tpl, message.record,
+                                     message.time);
         CS_ASSERT(ok, "decisive consumption failed after canConsume");
         if (tracer != nullptr)
             tracer->annotate(gid, message.time,
                              obs::ConsumeAnnotation::Decisive);
-        applyDecisiveIdUpdate(gid, view);
+        applyDecisiveIdUpdate(slot, view);
         harvestAcceptance({gid}, message.time, events);
     };
 
@@ -755,37 +706,31 @@ InterleavedChecker::feed(const CheckMessage &message)
             std::stable_sort(
                 gids.begin(), gids.end(),
                 [this](GroupId a, GroupId b) {
-                    return groups.at(a).history().size() >
-                           groups.at(b).history().size();
+                    return groups.at(a).group.history().size() >
+                           groups.at(b).group.history().size();
                 });
             gids.resize(config.maxForkFanout);
         }
         IdentifierSet pooled;
         std::uint64_t rival_set = nextRivalSet++;
         std::vector<GroupId> touched;
-        for (GroupId gid : gids) {
-            auto set_it = idsets.find(groupToSet.at(gid));
-            if (set_it != idsets.end())
-                pooled.unionWith(set_it->second.ids);
-        }
+        for (GroupId gid : gids)
+            pooled.unionWith(idsets.at(groups.at(gid).set).ids);
         pooled.insert(view);
         std::uint64_t set_id = findOrCreateIdSet(std::move(pooled));
         for (GroupId gid : gids) {
             GroupId clone_id = nextGroupId++;
-            AutomatonGroup clone = groups.at(gid).cloneAs(clone_id);
+            AutomatonGroup &parent = groups.at(gid).group;
+            AutomatonGroup clone = parent.cloneAs(clone_id);
             bool ok = clone.consume(message.tpl, message.record,
                                     message.time);
             CS_ASSERT(ok, "clone consumption failed after canConsume");
             clone.setRivalSet(rival_set);
-            groups.at(gid).addChild(clone_id);
-            idsets.at(set_id).groupIds.push_back(clone_id);
-            groupToSet[clone_id] = set_id;
-            groups.emplace(clone_id, std::move(clone));
-            if (tracer != nullptr) {
-                tracer->beginSpan(clone_id, message.time);
+            parent.addChild(clone_id);
+            registerGroup(std::move(clone), set_id);
+            if (tracer != nullptr)
                 tracer->annotate(clone_id, message.time,
                                  obs::ConsumeAnnotation::Ambiguous);
-            }
             touched.push_back(clone_id);
         }
         harvestAcceptance(touched, message.time, events);
@@ -806,8 +751,8 @@ InterleavedChecker::feed(const CheckMessage &message)
             // cost the identifier heuristic avoids (paper §5.5).
             GroupId best = consuming.front();
             for (GroupId gid : consuming) {
-                if (groups.at(gid).history().size() >
-                    groups.at(best).history().size()) {
+                if (groups.at(gid).group.history().size() >
+                    groups.at(best).group.history().size()) {
                     best = gid;
                 }
             }
@@ -820,23 +765,19 @@ InterleavedChecker::feed(const CheckMessage &message)
 
     // --- divergence recovery (case 3) ----------------------------------
     // (b) the message may start a new sequence.
-    {
-        AutomatonGroup fresh(nextGroupId, automatonSet);
-        if (fresh.canConsume(message.tpl)) {
-            ++nextGroupId;
-            ++counters.recoveredNewSequence;
-            bool ok = fresh.consume(message.tpl, message.record,
-                                    message.time);
-            CS_ASSERT(ok, "fresh group failed to consume");
-            GroupId gid = fresh.id();
-            registerGroup(std::move(fresh), IdentifierSet(view));
-            if (tracer != nullptr)
-                tracer->annotate(
-                    gid, message.time,
-                    obs::ConsumeAnnotation::RecoveryNewSequence);
-            harvestAcceptance({gid}, message.time, events);
-            return events;
-        }
+    if (templateHas(message.tpl, kCanStart)) {
+        GroupId gid = nextGroupId++;
+        ++counters.recoveredNewSequence;
+        AutomatonGroup fresh(gid, automatonSet);
+        bool ok = fresh.consume(message.tpl, message.record, message.time);
+        CS_ASSERT(ok, "fresh group failed to consume");
+        registerGroup(std::move(fresh),
+                      findOrCreateIdSet(IdentifierSet(view)));
+        if (tracer != nullptr)
+            tracer->annotate(gid, message.time,
+                             obs::ConsumeAnnotation::RecoveryNewSequence);
+        harvestAcceptance({gid}, message.time, events);
+        return events;
     }
 
     // (c) the chosen identifier set may be wrong: first retry the
@@ -852,11 +793,8 @@ InterleavedChecker::feed(const CheckMessage &message)
                 counters.consumeAttempts += level_groups.size();
                 std::vector<GroupId> takers;
                 for (GroupId gid : level_groups) {
-                    auto it = groups.find(gid);
-                    if (it != groups.end() &&
-                        it->second.canConsume(message.tpl)) {
+                    if (groups.at(gid).group.canConsume(message.tpl))
                         takers.push_back(gid);
-                    }
                 }
                 if (takers.empty())
                     return false;
@@ -899,11 +837,9 @@ InterleavedChecker::feed(const CheckMessage &message)
     // groups (paper Figure 4). Removed edges feed the refinement loop.
     if (config.falseDependencyRemoval) {
         for (GroupId gid : candidates) {
-            auto it = groups.find(gid);
-            if (it == groups.end())
-                continue;
+            GroupSlot &slot = groups.at(gid);
             std::vector<AutomatonGroup::RepairedEdge> repaired;
-            if (it->second.consumeWithRepair(message.tpl, message.record,
+            if (slot.group.consumeWithRepair(message.tpl, message.record,
                                              message.time, &repaired)) {
                 ++counters.recoveredFalseDependency;
                 if (tracer != nullptr)
@@ -915,7 +851,7 @@ InterleavedChecker::feed(const CheckMessage &message)
                     ++removalCounts[edge.automaton->name()]
                                    [{edge.from, edge.to}];
                 }
-                applyDecisiveIdUpdate(gid, view);
+                applyDecisiveIdUpdate(slot, view);
                 harvestAcceptance({gid}, message.time, events);
                 return events;
             }
@@ -941,20 +877,21 @@ InterleavedChecker::lineageCovered(const AutomatonGroup &group,
     };
 
     auto parent_it = groups.find(group.parent());
-    if (parent_it != groups.end() && recent(parent_it->second))
+    if (parent_it != groups.end() && recent(parent_it->second.group))
         return true;
 
     std::vector<GroupId> descendants;
     collectDescendants(group.id(), descendants);
     for (GroupId gid : descendants) {
-        if (recent(groups.at(gid)))
+        if (recent(groups.at(gid).group))
             return true;
     }
 
     if (group.rivalSet() != 0) {
         for (const auto &[gid, other] : groups) {
             if (gid != group.id() &&
-                other.rivalSet() == group.rivalSet() && recent(other)) {
+                other.group.rivalSet() == group.rivalSet() &&
+                recent(other.group)) {
                 return true;
             }
         }
@@ -977,16 +914,12 @@ InterleavedChecker::sweepTimeouts(common::SimTime now,
 {
     std::vector<CheckEvent> events;
     traceNow = now;
-    std::vector<GroupId> snapshot;
-    snapshot.reserve(groups.size());
-    for (const auto &[gid, group] : groups)
-        snapshot.push_back(gid);
-
-    for (GroupId gid : snapshot) {
-        auto it = groups.find(gid);
-        if (it == groups.end())
-            continue;
-        AutomatonGroup &group = it->second;
+    // Only the current group is ever erased, so `next` stays valid.
+    for (auto it = groups.begin(), next = it; it != groups.end();
+         it = next) {
+        next = std::next(it);
+        GroupId gid = it->first;
+        AutomatonGroup &group = it->second.group;
         double timeout = resolver(group.candidateTaskNames());
         maxResolvedTimeout = std::max(maxResolvedTimeout, timeout);
         if (group.zombie()) {
@@ -1005,7 +938,8 @@ InterleavedChecker::sweepTimeouts(common::SimTime now,
         }
         ++counters.timeoutsReported;
         traceEnd(group, now, obs::SpanEnd::TimedOut);
-        events.push_back(makeEvent(CheckEventKind::Timeout, group, now));
+        events.push_back(
+            makeEvent(CheckEventKind::Timeout, it->second, now));
         if (config.zombieAbsorption)
             group.markZombie();
         else
@@ -1026,8 +960,8 @@ InterleavedChecker::evictionOrder() const
     };
     std::vector<Key> keys;
     keys.reserve(groups.size());
-    for (const auto &[gid, group] : groups)
-        keys.push_back({group.zombie(), group.lastActivity(), gid});
+    for (const auto &[gid, slot] : groups)
+        keys.push_back({slot.group.zombie(), slot.group.lastActivity(), gid});
     std::sort(keys.begin(), keys.end(), [](const Key &a, const Key &b) {
         if (a.zombie != b.zombie)
             return a.zombie;
@@ -1043,26 +977,46 @@ InterleavedChecker::evictionOrder() const
 }
 
 std::vector<CheckEvent>
-InterleavedChecker::shedToCap(std::size_t cap, common::SimTime now)
+InterleavedChecker::shedWhile(
+    common::SimTime now,
+    const std::function<bool(std::size_t freed)> &over)
 {
     std::vector<CheckEvent> events;
-    traceNow = now;
-    if (groups.size() <= cap)
+    if (!over(0))
         return events;
-
-    std::vector<GroupId> order = evictionOrder();
-    std::size_t to_shed = groups.size() - cap;
-    for (std::size_t i = 0; i < to_shed && i < order.size(); ++i) {
-        auto it = groups.find(order[i]);
-        if (it == groups.end())
-            continue;
+    traceNow = now;
+    std::size_t freed = 0;
+    for (GroupId gid : evictionOrder()) {
+        if (!over(freed))
+            break;
+        const GroupSlot &slot = groups.at(gid);
+        freed += slot.group.approxRetainedBytes();
         ++counters.groupsShed;
-        traceEnd(it->second, now, obs::SpanEnd::Shed);
-        events.push_back(
-            makeEvent(CheckEventKind::Degraded, it->second, now));
-        eraseGroup(order[i]);
+        traceEnd(slot.group, now, obs::SpanEnd::Shed);
+        events.push_back(makeEvent(CheckEventKind::Degraded, slot, now));
+        eraseGroup(gid);
     }
     return events;
+}
+
+std::vector<CheckEvent>
+InterleavedChecker::shedToCap(std::size_t cap, common::SimTime now)
+{
+    return shedWhile(now,
+                     [this, cap](std::size_t) { return groups.size() > cap; });
+}
+
+std::vector<CheckEvent>
+InterleavedChecker::shedToMemory(std::size_t max_bytes,
+                                 common::SimTime now)
+{
+    // The estimate is taken once; each eviction credits back only the
+    // evicted group's own footprint. At least one group is kept.
+    std::size_t retained = max_bytes == 0 ? 0 : approxRetainedBytes();
+    return shedWhile(now, [this, max_bytes, retained](std::size_t freed) {
+        return retained - std::min(retained, freed) > max_bytes &&
+               groups.size() > 1;
+    });
 }
 
 std::vector<CheckEvent>
@@ -1070,24 +1024,18 @@ InterleavedChecker::finish(common::SimTime now)
 {
     std::vector<CheckEvent> events;
     traceNow = now;
-    std::vector<GroupId> snapshot;
-    for (const auto &[gid, group] : groups)
-        snapshot.push_back(gid);
-    for (GroupId gid : snapshot) {
-        auto it = groups.find(gid);
-        if (it == groups.end())
-            continue;
-        if (!it->second.zombie()) {
-            traceEnd(it->second, now, obs::SpanEnd::EndOfStream);
-            events.push_back(makeEvent(CheckEventKind::Timeout,
-                                       it->second, now));
+    // Erasing the last member of a set retires the set and its
+    // postings, so this leaves every structure empty.
+    for (auto it = groups.begin(), next = it; it != groups.end();
+         it = next) {
+        next = std::next(it);
+        if (!it->second.group.zombie()) {
+            traceEnd(it->second.group, now, obs::SpanEnd::EndOfStream);
+            events.push_back(
+                makeEvent(CheckEventKind::Timeout, it->second, now));
         }
-        eraseGroup(gid);
+        eraseGroup(it->first);
     }
-    idsets.clear();
-    groupToSet.clear();
-    postings.clear();
-    setsByContents.clear();
     return events;
 }
 
@@ -1101,36 +1049,47 @@ InterleavedChecker::postingsFor(IdToken token) const
 bool
 InterleavedChecker::indexConsistent() const
 {
-    // Every live set's tokens each carry exactly one posting entry…
+    // Ids start at 1 and the allocators lie above every live id.
+    if (!groups.empty() && (groups.begin()->first == 0 ||
+                            groups.rbegin()->first >= nextGroupId)) {
+        return false;
+    }
+    if (!idsets.empty() && (idsets.begin()->first == 0 ||
+                            idsets.rbegin()->first >= nextIdSetId)) {
+        return false;
+    }
+    // R both ways: every set has members, each a live group whose slot
+    // names the set…
     std::size_t expected_postings = 0;
     for (const auto &[set_id, entry] : idsets) {
+        if (entry.groupIds.empty())
+            return false;
+        for (GroupId gid : entry.groupIds) {
+            auto it = groups.find(gid);
+            if (it == groups.end() || it->second.set != set_id)
+                return false;
+        }
+        // …every token carries exactly one posting entry…
         expected_postings += entry.ids.size();
         for (IdToken token : entry.ids.values()) {
             auto it = postings.find(token);
-            if (it == postings.end())
-                return false;
-            if (std::count(it->second.begin(), it->second.end(),
+            if (it == postings.end() ||
+                std::count(it->second.begin(), it->second.end(),
                            set_id) != 1) {
                 return false;
             }
         }
-        // …the contents map knows the set…
-        auto cit = setsByContents.find(entry.ids.values());
-        if (cit == setsByContents.end() ||
-            std::count(cit->second.begin(), cit->second.end(),
-                       set_id) != 1) {
-            return false;
-        }
-        // …and every member group points back at the set.
-        for (GroupId gid : entry.groupIds) {
-            if (!groups.count(gid))
-                return false;
-            auto git = groupToSet.find(gid);
-            if (git == groupToSet.end() || git->second != set_id)
-                return false;
-        }
     }
-    // …and no posting or contents entry points at a dead set.
+    // …every group is a member of its live set exactly once…
+    for (const auto &[gid, slot] : groups) {
+        auto it = idsets.find(slot.set);
+        if (it == idsets.end())
+            return false;
+        const auto &members = it->second.groupIds;
+        if (std::count(members.begin(), members.end(), gid) != 1)
+            return false;
+    }
+    // …and no posting points at a dead set or a set without the token.
     std::size_t actual_postings = 0;
     for (const auto &[token, list] : postings) {
         if (list.empty())
@@ -1142,33 +1101,7 @@ InterleavedChecker::indexConsistent() const
                 return false;
         }
     }
-    if (actual_postings != expected_postings)
-        return false;
-    std::size_t contents_ids = 0;
-    for (const auto &[contents, ids] : setsByContents) {
-        if (ids.empty() || !std::is_sorted(ids.begin(), ids.end()))
-            return false;
-        contents_ids += ids.size();
-        for (std::uint64_t set_id : ids) {
-            auto it = idsets.find(set_id);
-            if (it == idsets.end() ||
-                it->second.ids.values() != contents) {
-                return false;
-            }
-        }
-    }
-    if (contents_ids != idsets.size())
-        return false;
-    // Every group is reachable from its set.
-    for (const auto &[gid, set_id] : groupToSet) {
-        auto it = idsets.find(set_id);
-        if (it == idsets.end())
-            return false;
-        const auto &members = it->second.groupIds;
-        if (std::count(members.begin(), members.end(), gid) != 1)
-            return false;
-    }
-    return groupToSet.size() == groups.size();
+    return actual_postings == expected_postings;
 }
 
 std::uint64_t
@@ -1207,36 +1140,6 @@ modelFingerprint(const std::vector<const TaskAutomaton *> &automata)
     return hash;
 }
 
-std::vector<CheckEvent>
-InterleavedChecker::shedToMemory(std::size_t max_bytes,
-                                 common::SimTime now)
-{
-    std::vector<CheckEvent> events;
-    traceNow = now;
-    if (max_bytes == 0)
-        return events;
-    std::size_t retained = approxRetainedBytes();
-    if (retained <= max_bytes)
-        return events;
-
-    // shedToCap's order: the two shedding paths are one contract,
-    // differing only in the stop condition.
-    for (GroupId gid : evictionOrder()) {
-        if (retained <= max_bytes || groups.size() <= 1)
-            break;
-        auto it = groups.find(gid);
-        if (it == groups.end())
-            continue;
-        std::size_t group_bytes = it->second.approxRetainedBytes();
-        ++counters.groupsShed;
-        traceEnd(it->second, now, obs::SpanEnd::Shed);
-        events.push_back(
-            makeEvent(CheckEventKind::Degraded, it->second, now));
-        eraseGroup(gid);
-        retained -= std::min(retained, group_bytes);
-    }
-    return events;
-}
 
 std::size_t
 InterleavedChecker::approxRetainedBytes() const
@@ -1245,15 +1148,16 @@ InterleavedChecker::approxRetainedBytes() const
     // point is a deterministic, monotone measure over persisted state,
     // not byte-exact accounting.
     std::size_t bytes = 0;
-    for (const auto &[gid, group] : groups)
-        bytes += group.approxRetainedBytes() + 48;
+    for (const auto &[gid, slot] : groups)
+        bytes += slot.group.approxRetainedBytes() + 48;
     for (const auto &[set_id, entry] : idsets) {
-        // x2 on tokens: the postings and contents maps mirror every
-        // live set's token list.
+        // x2 on tokens: each token sits in the set and once more in
+        // its posting list.
         bytes += 2 * entry.ids.size() * sizeof(IdToken) +
                  entry.groupIds.size() * sizeof(GroupId) + 96;
     }
-    bytes += groupToSet.size() * 48;
+    // R's group→set direction: one relation row per group.
+    bytes += groups.size() * 48;
     for (const auto &[name, edges] : removalCounts)
         bytes += name.size() + edges.size() * 24 + 64;
     return bytes;
@@ -1279,8 +1183,8 @@ InterleavedChecker::saveState(common::BinWriter &out) const
     out.writeU64(counters.consumeAttempts);
 
     out.writeU64(groups.size());
-    for (const auto &[gid, group] : groups)
-        group.saveState(out, automatonSet);
+    for (const auto &[gid, slot] : groups)
+        slot.group.saveState(out, automatonSet);
 
     out.writeU64(removalCounts.size());
     for (const auto &[name, edges] : removalCounts) {
@@ -1300,10 +1204,10 @@ InterleavedChecker::saveState(common::BinWriter &out) const
         out.writeU64Vector(entry.groupIds);
     }
 
-    out.writeU64(groupToSet.size());
-    for (const auto &[gid, set_id] : groupToSet) {
+    out.writeU64(groups.size());
+    for (const auto &[gid, slot] : groups) {
         out.writeU64(gid);
-        out.writeU64(set_id);
+        out.writeU64(slot.set);
     }
 
     out.writeU64(nextGroupId);
@@ -1318,9 +1222,7 @@ InterleavedChecker::restoreState(common::BinReader &in)
     groups.clear();
     removalCounts.clear();
     idsets.clear();
-    groupToSet.clear();
     postings.clear();
-    setsByContents.clear();
 
     counters = CheckerStats{};
     counters.messages = in.readU64();
@@ -1347,7 +1249,10 @@ InterleavedChecker::restoreState(common::BinReader &in)
         if (!group.restoreState(in, automatonSet))
             return false;
         GroupId gid = group.id();
-        groups.emplace(gid, std::move(group));
+        if (!groups.emplace(gid, GroupSlot{std::move(group), 0}).second) {
+            in.fail();
+            return false;
+        }
     }
 
     std::uint64_t removal_tasks = in.readU64();
@@ -1396,15 +1301,25 @@ InterleavedChecker::restoreState(common::BinReader &in)
     if (!in.ok())
         return false;
     for (std::uint64_t i = 0; i < relation_count; ++i) {
-        GroupId gid = in.readU64();
+        auto it = groups.find(in.readU64());
         std::uint64_t set_id = in.readU64();
-        groupToSet[gid] = set_id;
+        // One row per live group; a set left at 0 is caught below.
+        if (it == groups.end() || it->second.set != 0) {
+            in.fail();
+            return false;
+        }
+        it->second.set = set_id;
     }
 
     nextGroupId = in.readU64();
     nextIdSetId = in.readU64();
     nextRivalSet = in.readU64();
     maxResolvedTimeout = in.readF64();
+    // A decodable image can still contradict itself (a group without a
+    // set, a member naming no group, a stale allocator); running on it
+    // would trip an assertion on the next decisive message.
+    if (in.ok() && !indexConsistent())
+        in.fail();
     return in.ok();
 }
 

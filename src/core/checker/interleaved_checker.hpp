@@ -177,17 +177,19 @@ class InterleavedChecker
      * counters, groups, removal tallies, identifier sets, the
      * group↔set relation, id allocators, and the timeout horizon. The
      * equivalence pick is stateless (CheckerConfig::seed), so there is
-     * no RNG state to write. The routing index (postings, contents map)
-     * is derived state and rebuilt on restore; the automaton set and
-     * config are the caller's to re-supply.
+     * no RNG state to write. The routing index (postings) is derived
+     * state and rebuilt on restore; the automaton set and config are
+     * the caller's to re-supply.
      */
     void saveState(common::BinWriter &out) const;
 
     /**
      * Overwrite this checker from a saveState image taken against an
      * identical automaton vector (guard with modelFingerprint before
-     * calling). On failure the stream is marked bad and the checker is
-     * left cleared — construct a fresh one rather than continuing.
+     * calling). An image that decodes but fails indexConsistent() is
+     * refused too. On failure the stream is marked bad and the checker
+     * may be left partly restored — construct a fresh one rather than
+     * continuing.
      */
     bool restoreState(common::BinReader &in);
 
@@ -230,10 +232,12 @@ class InterleavedChecker
     std::size_t postingTokens() const { return postings.size(); }
 
     /**
-     * Full cross-check of the routing structures: every id-set token
+     * Full cross-check of the checking state: every set has members,
+     * every member is a live group whose slot names that set, every
+     * group is a member of its set exactly once, every id-set token
      * appears in exactly one posting entry, no posting points at a
-     * dead set, the contents map mirrors the live sets, and every
-     * group↔set relation is bidirectional. O(state); test-only.
+     * dead set, and the id allocators lie above every live id.
+     * O(state); restoreState refuses an image that fails it.
      */
     bool indexConsistent() const;
 
@@ -282,14 +286,26 @@ class InterleavedChecker
         std::vector<GroupId> groupIds;
     };
 
+    /** A group and the id of its identifier set: R's group→set
+     *  direction (the set's member list is the other). */
+    struct GroupSlot
+    {
+        AutomatonGroup group;
+        std::uint64_t set = 0;
+    };
+
+    /** Per-template facts, indexed by TemplateId. */
+    enum TemplateFlag : std::uint8_t
+    {
+        kKnown = 1,     ///< in some automaton's Σ (recovery (a))
+        kCanStart = 2,  ///< a fresh instance can consume it (recovery (b))
+        kCertified = 4, ///< seer-prove certified-unambiguous (config-like)
+    };
+
     CheckerConfig config;
     std::vector<const TaskAutomaton *> automatonSet;
-    std::vector<char> knownTemplates; // indexed by TemplateId
+    std::vector<std::uint8_t> templateFlags;
     CheckerStats counters;
-
-    /** seer-prove certified-unambiguous bitmap (config-like; empty =
-     *  fast path off). */
-    std::vector<char> certifiedTemplates;
 
     /** True while the message in feed() has a certified template; the
      *  gate on every fast-path shortcut below. */
@@ -305,13 +321,12 @@ class InterleavedChecker
     /** Pure deterministic pick: index into a pool of `pool_size`. */
     std::size_t equivalencePickIndex(std::size_t pool_size);
 
-    std::map<GroupId, AutomatonGroup> groups;
+    std::map<GroupId, GroupSlot> groups;
     RemovalCounts removalCounts;
     std::map<std::uint64_t, IdSetEntry> idsets;
-    std::map<GroupId, std::uint64_t> groupToSet;
 
     /**
-     * Inverted routing index: token -> sorted-insertion list of the
+     * Inverted routing index: token -> insertion-order list of the
      * id-set ids whose set contains the token. Maintained on set
      * creation, in-place expansion, and retirement; entries whose
      * lists drain are erased so the index never outgrows live state.
@@ -319,20 +334,11 @@ class InterleavedChecker
     std::unordered_map<logging::IdToken, std::vector<std::uint64_t>>
         postings;
 
-    /**
-     * Exact-contents lookup for findOrCreateIdSet: token vector ->
-     * ascending id-set ids with those exact contents (in-place
-     * expansion can transiently alias two sets; the scan semantics
-     * pick the lowest id, so the front() is the answer).
-     */
-    std::map<std::vector<logging::IdToken>, std::vector<std::uint64_t>>
-        setsByContents;
-
     std::uint64_t nextGroupId = 1;
     std::uint64_t nextIdSetId = 1;
     std::uint64_t nextRivalSet = 1;
 
-    bool templateKnown(logging::TemplateId tpl) const;
+    bool templateHas(logging::TemplateId tpl, TemplateFlag flag) const;
 
     /**
      * Identifier-set ids with the best overlap below the exclusive
@@ -365,36 +371,25 @@ class InterleavedChecker
     candidateGroups(const std::vector<std::uint64_t> &set_ids);
 
     /** Case 1 bookkeeping: expand or re-home the group's set. */
-    void applyDecisiveIdUpdate(GroupId group,
+    void applyDecisiveIdUpdate(GroupSlot &slot,
                                const std::vector<logging::IdToken> &view);
 
     /**
-     * Identifier-set entry with the given contents, reusing an
-     * existing identical entry (the paper's I is a *set* of sets:
-     * identical sets are one element, which is what lets the
+     * Identifier-set entry with the given contents, reusing the
+     * lowest-id existing identical entry (the paper's I is a *set* of
+     * sets: identical sets are one element, which is what lets the
      * equivalent-group heuristic collapse interchangeable groups).
      */
     std::uint64_t findOrCreateIdSet(IdentifierSet ids);
 
-    // --- routing-index maintenance ------------------------------------
-
-    /** Add a freshly created set to postings and the contents map. */
+    /** Add a freshly created set to the posting lists. */
     void indexAddSet(std::uint64_t set_id, const IdSetEntry &entry);
 
-    /** Remove a retiring set from postings and the contents map. */
+    /** Remove a retiring set from the posting lists. */
     void indexRemoveSet(std::uint64_t set_id, const IdSetEntry &entry);
 
-    /** Record `set_id` under `contents` in the contents map. */
-    void contentsAdd(std::uint64_t set_id,
-                     const std::vector<logging::IdToken> &contents);
-
-    /** Drop `set_id` from under `contents` in the contents map. */
-    void contentsRemove(std::uint64_t set_id,
-                        const std::vector<logging::IdToken> &contents);
-
-    /** Register a brand-new group with a fresh identifier set. */
-    void registerGroup(AutomatonGroup &&group,
-                       IdentifierSet initial_ids);
+    /** Register a brand-new group as a member of set `set_id`. */
+    void registerGroup(AutomatonGroup &&group, std::uint64_t set_id);
 
     /** Remove one group and its relation entries. */
     void eraseGroup(GroupId group);
@@ -403,6 +398,16 @@ class InterleavedChecker
      *  zombies first (already reported; pure state), then
      *  least-recently-active, ties to the older id. */
     std::vector<GroupId> evictionOrder() const;
+
+    /**
+     * The one eviction loop behind shedToCap and shedToMemory: walk
+     * evictionOrder(), shedding each group (counter, span end,
+     * Degraded event) while `over(freed)` holds, where `freed` sums
+     * the approxRetainedBytes() of the groups shed so far.
+     */
+    std::vector<CheckEvent>
+    shedWhile(common::SimTime now,
+              const std::function<bool(std::size_t freed)> &over);
 
     /** Collect the group and all its (live) descendants. */
     void collectDescendants(GroupId group,
@@ -447,7 +452,7 @@ class InterleavedChecker
                   obs::SpanEnd reason) const;
 
     /** Build a report for a group. */
-    CheckEvent makeEvent(CheckEventKind kind, const AutomatonGroup &group,
+    CheckEvent makeEvent(CheckEventKind kind, const GroupSlot &slot,
                          common::SimTime time) const;
 
     /** Handle acceptance on a set of touched groups. */

@@ -6,6 +6,11 @@
  * it neither throws from a reservation nor loops for as long as the
  * count says. Each case builds its image twice, once with a count of
  * zero (accepted: the framing is valid) and once with 2^60 (refused).
+ *
+ * The checker also refuses images that decode but contradict
+ * themselves: groups, identifier sets and the relation between them
+ * must agree, and the id allocators must lie above every live id.
+ * Those cases edit a real checker's saveState image.
  */
 
 #include <gtest/gtest.h>
@@ -122,6 +127,70 @@ restoreChecker(common::BinReader &in)
 {
     core::InterleavedChecker checker(core::CheckerConfig{}, {&chain()});
     return checker.restoreState(in);
+}
+
+/** A real checker image: one live group (id 1) in one set (id 1). */
+std::string
+oneGroupImage()
+{
+    core::InterleavedChecker checker(core::CheckerConfig{}, {&chain()});
+    core::CheckMessage message;
+    message.tpl = 1; // the chain's first event
+    message.identifiers = {5};
+    message.record = 1;
+    message.time = 0.5;
+    checker.feed(message);
+    common::BinWriter out;
+    checker.saveState(out);
+    return out.bytes();
+}
+
+// Field offsets, counted back from the end of oneGroupImage(): the
+// set's member list, the relation section, then the allocators and the
+// timeout horizon.
+constexpr std::size_t kMemberCount = 72;
+constexpr std::size_t kMemberId = 64;
+constexpr std::size_t kRelationCount = 56;
+constexpr std::size_t kRelationGroup = 48;
+constexpr std::size_t kRelationSet = 40;
+constexpr std::size_t kNextGroupId = 32;
+
+std::uint64_t
+u64FromEnd(const std::string &image, std::size_t from_end)
+{
+    std::uint64_t value = 0;
+    for (int b = 7; b >= 0; --b) {
+        value = (value << 8) |
+                static_cast<std::uint8_t>(
+                    image[image.size() - from_end +
+                          static_cast<std::size_t>(b)]);
+    }
+    return value;
+}
+
+void
+setU64FromEnd(std::string &image, std::size_t from_end,
+              std::uint64_t value)
+{
+    for (std::size_t b = 0; b < 8; ++b)
+        image[image.size() - from_end + b] =
+            static_cast<char>((value >> (8 * b)) & 0xff);
+}
+
+/** Drop `length` bytes starting `from_end` bytes before the end. */
+void
+eraseFromEnd(std::string &image, std::size_t from_end, std::size_t length)
+{
+    image.erase(image.size() - from_end, length);
+}
+
+bool
+checkerRestores(const std::string &image)
+{
+    common::BinReader in(image);
+    bool ok = false;
+    EXPECT_NO_THROW(ok = restoreChecker(in));
+    return ok && in.ok();
 }
 
 bool
@@ -252,6 +321,55 @@ TEST(CraftedImageTest, CheckerRefusesHugeRelationCount)
             writeCheckerTail(out, 0, count);
         },
         restoreChecker);
+}
+
+TEST(CraftedImageTest, CheckerImageOffsetsNameTheFieldsTheyEdit)
+{
+    std::string image = oneGroupImage();
+    EXPECT_EQ(u64FromEnd(image, kMemberCount), 1u);
+    EXPECT_EQ(u64FromEnd(image, kMemberId), 1u);
+    EXPECT_EQ(u64FromEnd(image, kRelationCount), 1u);
+    EXPECT_EQ(u64FromEnd(image, kRelationGroup), 1u);
+    EXPECT_EQ(u64FromEnd(image, kRelationSet), 1u);
+    EXPECT_EQ(u64FromEnd(image, kNextGroupId), 2u);
+    EXPECT_TRUE(checkerRestores(image));
+}
+
+TEST(CraftedImageTest, CheckerRefusesGroupWithoutRelation)
+{
+    std::string image = oneGroupImage();
+    setU64FromEnd(image, kRelationCount, 0);
+    eraseFromEnd(image, kRelationGroup, 16);
+    EXPECT_FALSE(checkerRestores(image));
+}
+
+TEST(CraftedImageTest, CheckerRefusesRelationToAbsentSet)
+{
+    std::string image = oneGroupImage();
+    setU64FromEnd(image, kRelationSet, 99);
+    EXPECT_FALSE(checkerRestores(image));
+}
+
+TEST(CraftedImageTest, CheckerRefusesMemberNamingAbsentGroup)
+{
+    std::string image = oneGroupImage();
+    setU64FromEnd(image, kMemberId, 99);
+    EXPECT_FALSE(checkerRestores(image));
+}
+
+TEST(CraftedImageTest, CheckerRefusesSetWithoutMembers)
+{
+    std::string image = oneGroupImage();
+    setU64FromEnd(image, kMemberCount, 0);
+    eraseFromEnd(image, kMemberId, 8);
+    EXPECT_FALSE(checkerRestores(image));
+}
+
+TEST(CraftedImageTest, CheckerRefusesGroupIdAllocatorAtLiveId)
+{
+    std::string image = oneGroupImage();
+    setU64FromEnd(image, kNextGroupId, 1);
+    EXPECT_FALSE(checkerRestores(image));
 }
 
 TEST(CraftedImageTest, InternerRefusesHugeTokenCount)

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -507,4 +508,109 @@ TEST(RoutingIndexDifferential, DeepChainScheduleEventsIdentical)
     expectIdenticalStats(proved.stats(), scan.stats());
     EXPECT_TRUE(indexed.indexConsistent());
     EXPECT_TRUE(proved.indexConsistent());
+}
+
+// --- exact-contents lookup: the lowest set id wins --------------------
+
+namespace {
+
+struct CheckedRun
+{
+    std::vector<std::string> events;
+    CheckerStats stats;
+};
+
+/** Feed `messages` to a fresh checker, cross-checking the index after
+ *  every message; `after(step, checker)` may assert on the state. */
+CheckedRun
+runChecked(bool routing_index, const TaskAutomaton &automaton,
+           const std::vector<CheckMessage> &messages,
+           const std::function<void(std::size_t,
+                                    const InterleavedChecker &)> &after)
+{
+    CheckerConfig config;
+    config.routingIndex = routing_index;
+    InterleavedChecker checker(config, {&automaton});
+    CheckedRun run;
+    for (std::size_t step = 0; step < messages.size(); ++step) {
+        for (const CheckEvent &event : checker.feed(messages[step]))
+            run.events.push_back(fingerprint(event));
+        EXPECT_TRUE(checker.indexConsistent()) << "step " << step;
+        after(step, checker);
+    }
+    for (const CheckEvent &event : checker.finish(10.0))
+        run.events.push_back(fingerprint(event));
+    EXPECT_TRUE(checker.indexConsistent());
+    run.stats = checker.stats();
+    return run;
+}
+
+/** Scan and indexed checkers emit the same events and stats over
+ *  `messages`, which fork exactly once. */
+void
+expectModesAgree(const TaskAutomaton &automaton,
+                 const std::vector<CheckMessage> &messages,
+                 const std::function<void(std::size_t,
+                                          const InterleavedChecker &)>
+                     &after)
+{
+    CheckedRun scan = runChecked(false, automaton, messages, after);
+    CheckedRun indexed = runChecked(true, automaton, messages, after);
+    EXPECT_EQ(indexed.events, scan.events);
+    expectIdenticalStats(indexed.stats, scan.stats);
+    EXPECT_EQ(scan.stats.ambiguous, 1u);
+}
+
+} // namespace
+
+TEST(RoutingIndex, AliasedSetsReuseTheLowerId)
+{
+    LetterCatalog letters;
+    TaskAutomaton boot = bootAutomaton(letters);
+    // Intern y first so the contents {x, y} lead with y, whose posting
+    // list ends up in descending set-id order.
+    logging::IdToken y = internIds({"alias-y"})[0];
+    logging::IdToken x = internIds({"alias-x"})[0];
+    ASSERT_LT(y, x);
+
+    std::vector<CheckMessage> messages = {
+        makeMessage(letters, "A", {"alias-x"}, 1, 0.1), // G1 in S1 {x}
+        makeMessage(letters, "A", {"alias-x", "alias-y"}, 2, 0.2), // S2
+        makeMessage(letters, "P", {"alias-x"}, 3, 0.3),
+        // Recovery (c) hands S to G1, whose sole-owner set expands in
+        // place to {x, y}: S1 and S2 now alias.
+        makeMessage(letters, "S", {"alias-x", "alias-y"}, 4, 0.4),
+        // A new sequence on {x, y} joins S1, not S2…
+        makeMessage(letters, "A", {"alias-x", "alias-y"}, 5, 0.5),
+        // …so G2 (S2) and the new group (S1) are not one equivalence
+        // class: P forks both, and the pool is S1 again.
+        makeMessage(letters, "P", {"alias-x", "alias-y"}, 6, 0.6),
+    };
+    expectModesAgree(boot, messages,
+                     [y](std::size_t step, const InterleavedChecker &c) {
+                         if (step < 3)
+                             return;
+                         EXPECT_EQ(c.activeIdentifierSets(), 2u);
+                         const std::vector<std::uint64_t> *list =
+                             c.postingsFor(y);
+                         ASSERT_NE(list, nullptr);
+                         ASSERT_EQ(list->size(), 2u);
+                         EXPECT_GT(list->front(), list->back());
+                     });
+}
+
+TEST(RoutingIndex, IdentifierlessSequencesShareTheEmptySet)
+{
+    LetterCatalog letters;
+    TaskAutomaton boot = bootAutomaton(letters);
+    std::vector<CheckMessage> messages = {
+        makeMessage(letters, "A", {}, 1, 0.1),
+        makeMessage(letters, "A", {}, 2, 0.2), // second empty-set group
+        makeMessage(letters, "P", {}, 3, 0.3), // forks both, pools {}
+    };
+    expectModesAgree(boot, messages,
+                     [](std::size_t, const InterleavedChecker &c) {
+                         EXPECT_EQ(c.activeIdentifierSets(), 1u);
+                         EXPECT_EQ(c.postingTokens(), 0u);
+                     });
 }
