@@ -20,14 +20,6 @@ AutomatonInstance::AutomatonInstance(const TaskAutomaton *model)
 }
 
 const std::vector<int> &
-AutomatonInstance::predsOf(int event) const
-{
-    if (ownPreds)
-        return (*ownPreds)[static_cast<std::size_t>(event)];
-    return spec->preds(event);
-}
-
-const std::vector<int> &
 AutomatonInstance::succsOf(int event) const
 {
     if (ownSuccs)

@@ -162,7 +162,6 @@ class AutomatonInstance
     std::optional<std::vector<std::vector<int>>> ownPreds;
     std::optional<std::vector<std::vector<int>>> ownSuccs;
 
-    const std::vector<int> &predsOf(int event) const;
     const std::vector<int> &succsOf(int event) const;
     void materialiseAdjacency();
     int nextPendingEvent(logging::TemplateId tpl) const;

@@ -135,7 +135,6 @@ class AutomatonGroup
     std::uint64_t rivalSet() const { return rivalSetId; }
 
     /** Set lineage links (checker-internal). */
-    void setParent(GroupId parent) { parentId = parent; }
     void addChild(GroupId child) { childIds.push_back(child); }
     void setRivalSet(std::uint64_t set) { rivalSetId = set; }
 

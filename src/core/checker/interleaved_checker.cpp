@@ -940,10 +940,9 @@ InterleavedChecker::sweepTimeouts(common::SimTime now,
         traceEnd(group, now, obs::SpanEnd::TimedOut);
         events.push_back(
             makeEvent(CheckEventKind::Timeout, it->second, now));
-        if (config.zombieAbsorption)
-            group.markZombie();
-        else
-            eraseGroup(gid);
+        // Reported groups linger as silent absorbers of late messages
+        // (fewer follow-on false positives from delays).
+        group.markZombie();
     }
     return events;
 }

@@ -69,10 +69,6 @@ struct CheckerConfig
     /** Prune (don't report) timed-out groups whose lineage advanced. */
     bool timeoutSuppression = true;
 
-    /** Keep reported-timeout groups as silent absorbers of late
-     *  messages (reduces follow-on false positives from delays). */
-    bool zombieAbsorption = true;
-
     /**
      * Upper bound on the hypotheses forked by one ambiguous message
      * (Algorithm 2 case 2). Unbounded forking is exponential when

@@ -76,29 +76,6 @@ TimeoutEstimator::estimate(double safety_factor, double floor,
 }
 
 void
-TimeoutEstimator::publishTo(obs::MetricsRegistry &registry) const
-{
-    std::size_t runs = 0;
-    double widest = 0.0;
-    for (const auto &[task, entry] : perTask) {
-        runs += entry.runs;
-        widest = std::max(widest, entry.gaps.max());
-    }
-    registry
-        .gauge("seer_timeout_estimator_tasks",
-               "tasks with observed gap statistics")
-        .set(static_cast<double>(perTask.size()));
-    registry
-        .gauge("seer_timeout_estimator_runs",
-               "correct runs ingested by the estimator")
-        .set(static_cast<double>(runs));
-    registry
-        .gauge("seer_timeout_estimator_max_gap_seconds",
-               "widest inter-message gap observed across tasks")
-        .set(widest);
-}
-
-void
 TimeoutPolicy::saveState(common::BinWriter &out) const
 {
     out.writeF64(defaultTimeout);

@@ -19,9 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/stats.hpp"
 #include "common/time_util.hpp"
-#include "obs/metrics.hpp"
 
 namespace cloudseer::core {
 
@@ -86,13 +86,6 @@ class TimeoutEstimator
     TimeoutPolicy estimate(double safety_factor = 3.0,
                            double floor = 2.0,
                            double default_timeout = 10.0) const;
-
-    /**
-     * seer-scope hook: publish estimator coverage into a registry
-     * (tasks observed, runs ingested, the widest gap seen) so a
-     * deployment can see how well-founded its timeout table is.
-     */
-    void publishTo(obs::MetricsRegistry &registry) const;
 
     /** Serialise every task's gap samples (seer-vault). */
     void saveState(common::BinWriter &out) const;

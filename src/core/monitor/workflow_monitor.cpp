@@ -440,13 +440,6 @@ WorkflowMonitor::finish()
     return reports;
 }
 
-std::vector<TaskAutomaton>
-WorkflowMonitor::refinedAutomata(int min_removals) const
-{
-    return refineFromRemovals(specs, checker.dependencyRemovals(),
-                              min_removals);
-}
-
 obs::HealthSample
 WorkflowMonitor::healthSample() const
 {
@@ -511,13 +504,6 @@ WorkflowMonitor::prometheusText()
 {
     return obsPtr == nullptr ? std::string()
                              : obsPtr->prometheusText(healthSample());
-}
-
-std::string
-WorkflowMonitor::healthSnapshotJson() const
-{
-    return obsPtr == nullptr ? std::string()
-                             : healthSample().toJson();
 }
 
 void

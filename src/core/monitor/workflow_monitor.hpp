@@ -324,17 +324,7 @@ class WorkflowMonitor
      *  computed, even with verifyModelOnLoad off). */
     const analysis::LintReport &loadLint() const { return loadReport; }
 
-    /**
-     * Refined copies of the automata with every dependency removed at
-     * least `min_removals` times weakened (Figure 4 at the model
-     * level) — feed these into the next monitor generation.
-     */
-    std::vector<TaskAutomaton> refinedAutomata(int min_removals) const;
-
     // --- seer-scope (DESIGN.md §11) -----------------------------------
-
-    /** True when any observability sink is configured. */
-    bool observabilityEnabled() const { return obsPtr != nullptr; }
 
     /** The observability bundle, or nullptr in null-sink mode. */
     obs::Observability *observability() { return obsPtr.get(); }
@@ -352,9 +342,6 @@ class WorkflowMonitor
      */
     std::string prometheusText();
 
-    /** One fresh health snapshot as single-line JSON ("" when off). */
-    std::string healthSnapshotJson() const;
-
     /**
      * Chrome trace_event JSON of the recorded execution spans
      * (loads in about:tracing / Perfetto). "" when tracing is off.
@@ -362,9 +349,6 @@ class WorkflowMonitor
     std::string chromeTraceJson() const;
 
     // --- seer-pulse (DESIGN.md §16) ------------------------------------
-
-    /** True when the pulse plane (rate + alert engines) is armed. */
-    bool pulseEnabled() const { return pulsePtr != nullptr; }
 
     /** The pulse engine, or nullptr when pulse is off. */
     const obs::PulseEngine *pulse() const { return pulsePtr.get(); }

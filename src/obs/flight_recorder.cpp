@@ -19,7 +19,7 @@ FlightRecorder::record(std::string_view node, double time,
         return;
     auto it = rings.find(node);
     if (it == rings.end()) {
-        if (rings.size() >= cfg.maxNodes) {
+        if (rings.size() >= kFlightMaxNodes) {
             ++droppedLineCount;
             return;
         }
@@ -104,13 +104,11 @@ FlightRecorder::appendContextJson(std::string &out) const
 void
 FlightRecorder::addBundle(std::string bundle_json)
 {
-    if (store.size() < cfg.maxBundles) {
+    if (store.size() < kFlightMaxBundles) {
         store.push_back(std::move(bundle_json));
         return;
     }
     ++droppedBundleCount;
-    if (store.empty())
-        return; // maxBundles == 0 retains nothing
     store[storeHead] = std::move(bundle_json);
     storeHead = (storeHead + 1) % store.size();
 }

@@ -29,18 +29,18 @@
 
 namespace cloudseer::obs {
 
+/** Distinct nodes tracked; lines from further nodes are counted as
+ *  dropped rather than evicting an existing ring. */
+inline constexpr std::size_t kFlightMaxNodes = 64;
+
+/** Forensic bundles retained (ring; oldest dropped). */
+inline constexpr std::size_t kFlightMaxBundles = 256;
+
 /** Flight-recorder knobs. Defaults are off (the null sink). */
 struct FlightRecorderConfig
 {
     /** Raw lines retained per node; 0 disables the recorder. */
     std::size_t perNodeCapacity = 0;
-
-    /** Distinct nodes tracked; lines from further nodes are counted
-     *  as dropped rather than evicting an existing ring. */
-    std::size_t maxNodes = 64;
-
-    /** Forensic bundles retained (ring; oldest dropped). */
-    std::size_t maxBundles = 256;
 
     /** True when the recorder captures anything. */
     bool enabled() const { return perNodeCapacity > 0; }
@@ -100,7 +100,7 @@ class FlightRecorder
     /** Retained bundles, oldest first. */
     const std::vector<std::string> &bundles() const;
 
-    /** Bundles dropped past maxBundles. */
+    /** Bundles dropped past kFlightMaxBundles. */
     std::uint64_t droppedBundles() const { return droppedBundleCount; }
 
     /** Lines offered to record() so far. */
@@ -153,9 +153,10 @@ class FlightRecorder
     /** Scratch for appendContextJson(), reused across bundles. */
     mutable std::vector<Ordered> order;
     /**
-     * Bundle ring: grows to maxBundles, then addBundle() overwrites the
-     * oldest at `storeHead`. bundles() rotates it back to oldest-first
-     * on demand, so neither side shifts the whole store per bundle.
+     * Bundle ring: grows to kFlightMaxBundles, then addBundle()
+     * overwrites the oldest at `storeHead`. bundles() rotates it back
+     * to oldest-first on demand, so neither side shifts the whole
+     * store per bundle.
      */
     mutable std::vector<std::string> store;
     mutable std::size_t storeHead = 0;

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/string_util.hpp"
 
 namespace cloudseer::obs {
 
@@ -128,41 +127,6 @@ Histogram::percentile(double p) const
         }
     }
     return maxValue; // overflow region
-}
-
-double
-Histogram::percentileInterpolated(double p) const
-{
-    if (samples == 0)
-        return 0.0;
-    double clamped = std::min(100.0, std::max(0.0, p));
-    std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(clamped / 100.0 * static_cast<double>(samples)));
-    rank = std::max<std::uint64_t>(rank, 1);
-
-    // Linear interpolation of the rank's position within its region;
-    // the clamp keeps estimates inside the observed [min, max].
-    std::uint64_t before = 0;
-    auto interpolate = [&](double lo, double hi,
-                           std::uint64_t region_hits) {
-        double fraction =
-            (static_cast<double>(rank) - static_cast<double>(before)) /
-            static_cast<double>(region_hits);
-        double value = lo + fraction * (hi - lo);
-        return std::max(minValue, std::min(value, maxValue));
-    };
-
-    if (rank <= underflowCount)
-        return interpolate(minValue, bounds.front(), underflowCount);
-    before = underflowCount;
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-        if (hits[i] != 0 && rank <= before + hits[i])
-            return interpolate(bounds[i], bounds[i + 1], hits[i]);
-        before += hits[i];
-    }
-    if (overflowCount == 0)
-        return maxValue;
-    return interpolate(bounds.back(), maxValue, overflowCount);
 }
 
 void
@@ -322,49 +286,6 @@ MetricsRegistry::prometheusText() const
         out << name << "_sum " << formatNumber(h.sum()) << "\n";
         out << name << "_count " << h.count() << "\n";
     }
-    return out.str();
-}
-
-std::string
-MetricsRegistry::jsonSnapshot() const
-{
-    std::ostringstream out;
-    out << "{\"counters\":{";
-    bool first = true;
-    for (const auto &[name, entry] : counters) {
-        out << (first ? "" : ",") << "\"" << common::jsonEscape(name)
-            << "\":" << entry.metric.value();
-        first = false;
-    }
-    out << "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, entry] : gauges) {
-        out << (first ? "" : ",") << "\"" << common::jsonEscape(name)
-            << "\":" << formatNumber(entry.metric.value());
-        first = false;
-    }
-    out << "},\"histograms\":{";
-    first = true;
-    for (const auto &[name, entry] : histograms) {
-        const Histogram &h = entry.metric;
-        out << (first ? "" : ",") << "\"" << common::jsonEscape(name)
-            << "\":{\"count\":"
-            << h.count() << ",\"sum\":" << formatNumber(h.sum())
-            << ",\"min\":" << formatNumber(h.minSeen())
-            << ",\"max\":" << formatNumber(h.maxSeen())
-            << ",\"p50\":"
-            << formatNumber(h.percentileInterpolated(50.0))
-            << ",\"p90\":"
-            << formatNumber(h.percentileInterpolated(90.0))
-            << ",\"p95\":"
-            << formatNumber(h.percentileInterpolated(95.0))
-            << ",\"p99\":"
-            << formatNumber(h.percentileInterpolated(99.0))
-            << ",\"underflow\":" << h.underflow()
-            << ",\"overflow\":" << h.overflow() << "}";
-        first = false;
-    }
-    out << "}}";
     return out.str();
 }
 

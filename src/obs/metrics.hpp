@@ -3,8 +3,8 @@
  * seer-scope metric primitives (DESIGN.md §11).
  *
  * A MetricsRegistry owns named counters, gauges, and log-linear
- * histograms and renders them as Prometheus text exposition or a JSON
- * snapshot. The primitives are deliberately minimal: a counter is one
+ * histograms and renders them as Prometheus text exposition. The
+ * primitives are deliberately minimal: a counter is one
  * uint64, a gauge one double, and a histogram a fixed array of buckets
  * sized at construction — recording on the hot path is an array
  * increment with zero allocation. Monotonic checker/ingest tallies are
@@ -32,12 +32,10 @@
 
 namespace cloudseer::obs {
 
-/** Monotonic counter. set() exists for sampling an upstream tally. */
+/** Monotonic counter, sampled from an upstream tally. */
 class Counter
 {
   public:
-    void inc(std::uint64_t by = 1) { total += by; }
-
     /** Sample from an upstream monotonic source (never decreases). */
     void
     set(std::uint64_t value)
@@ -90,14 +88,6 @@ class Histogram
      */
     double percentile(double p) const;
 
-    /**
-     * Percentile estimate with linear interpolation inside the
-     * bucket holding the rank (clamped to the exact min/max). Tighter
-     * than percentile() — use for dashboards and JSON exposition;
-     * percentile() remains the conservative never-under-report bound.
-     */
-    double percentileInterpolated(double p) const;
-
     // Bucket introspection (exposition and tests).
     std::size_t buckets() const { return hits.size(); }
     double bucketLower(std::size_t i) const { return bounds[i]; }
@@ -129,7 +119,7 @@ class Histogram
 };
 
 /**
- * Named metric registry with Prometheus-text and JSON exposition.
+ * Named metric registry with Prometheus-text exposition.
  * References returned by counter()/gauge()/histogram() stay valid for
  * the registry's lifetime (node-based storage); looking a name up
  * twice yields the same instrument.
@@ -156,9 +146,6 @@ class MetricsRegistry
 
     /** Prometheus text exposition format (sorted by metric name). */
     std::string prometheusText() const;
-
-    /** One-line JSON snapshot of every instrument. */
-    std::string jsonSnapshot() const;
 
     std::size_t size() const;
 

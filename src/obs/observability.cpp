@@ -1,21 +1,322 @@
 #include "obs/observability.hpp"
 
+#include <algorithm>
+#include <bitset>
+#include <charconv>
+#include <iterator>
 #include <sstream>
+#include <type_traits>
 
 namespace cloudseer::obs {
 
 namespace {
 
-/** A health sample's checkpoint image: 44 eight-byte fields. */
-constexpr std::size_t kHealthSampleBytes = 44 * 8;
-
-std::string
-formatNumber(double value)
+/** How a HealthSample field is exposed on /metrics. */
+enum class Exposure : std::uint8_t
 {
-    std::ostringstream out;
-    out << value;
-    return out.str();
+    None,
+    Counter,
+    Gauge
+};
+
+/**
+ * One HealthSample field: its member (exactly one of `count`/`real`),
+ * its HEALTH key (`section` is "" at the top level) and its /metrics
+ * instrument, if any.
+ */
+struct HealthField
+{
+    std::uint64_t HealthSample::*count = nullptr;
+    double HealthSample::*real = nullptr;
+    std::string_view section;
+    std::string_view key;
+    Exposure exposure = Exposure::None;
+    const char *metric = nullptr;
+    const char *help = nullptr;
+
+    template <typename T>
+    constexpr HealthField(T HealthSample::*member, std::string_view sec,
+                          std::string_view name,
+                          Exposure how = Exposure::None,
+                          const char *metric_name = nullptr,
+                          const char *metric_help = nullptr)
+        : section(sec), key(name), exposure(how), metric(metric_name),
+          help(metric_help)
+    {
+        if constexpr (std::is_same_v<T, double>)
+            real = member;
+        else
+            count = member;
+    }
+};
+
+constexpr Exposure kCounter = Exposure::Counter;
+constexpr Exposure kGauge = Exposure::Gauge;
+using S = HealthSample;
+
+/**
+ * Every HealthSample field, once, in checkpoint-image order (pinned by
+ * tests/golden/observability_state.bin). toJson, fromJson, saveState,
+ * restoreState and the /metrics refresh are each one loop over it.
+ */
+constexpr HealthField kHealthFields[] = {
+    {&S::time, "", "time"},
+    {&S::messages, "", "messages", kCounter, "seer_messages_total",
+     "messages the checker processed"},
+    {&S::decisive, "", "decisive", kCounter, "seer_decisive_total",
+     "Algorithm 2 case-1 consumptions"},
+    {&S::ambiguous, "", "ambiguous", kCounter, "seer_ambiguous_total",
+     "Algorithm 2 case-2 forks"},
+    {&S::recoveredPassUnknown, "recoveries", "a", kCounter,
+     "seer_recovery_pass_unknown_total",
+     "recovery (a): unknown-template pass-throughs"},
+    {&S::recoveredNewSequence, "recoveries", "b", kCounter,
+     "seer_recovery_new_sequence_total",
+     "recovery (b): new-sequence starts"},
+    {&S::recoveredOtherSet, "recoveries", "c", kCounter,
+     "seer_recovery_other_set_total",
+     "recovery (c): re-routed to another identifier set"},
+    {&S::recoveredFalseDependency, "recoveries", "d", kCounter,
+     "seer_recovery_false_dependency_total",
+     "recovery (d): false-dependency repairs"},
+    {&S::unmatched, "", "unmatched", kCounter, "seer_unmatched_total",
+     "messages no recovery could place"},
+    {&S::accepted, "", "accepted", kCounter, "seer_accepted_total",
+     "sequences accepted"},
+    {&S::errorsReported, "", "errors", kCounter,
+     "seer_errors_reported_total", "error-criterion reports"},
+    {&S::timeoutsReported, "", "timeouts", kCounter,
+     "seer_timeouts_reported_total", "timeout-criterion reports"},
+    {&S::timeoutsSuppressed, "", "suppressed", kCounter,
+     "seer_timeouts_suppressed_total",
+     "timeouts pruned by lineage coverage"},
+    {&S::groupsShed, "", "shed", kCounter, "seer_groups_shed_total",
+     "groups evicted under cap pressure"},
+    {&S::consumeAttempts, "", "consumeAttempts", kCounter,
+     "seer_consume_attempts_total", "group consumption probes"},
+    {&S::decisiveFraction, "", "decisiveFraction", kGauge,
+     "seer_decisive_fraction",
+     "fraction of routed messages resolved decisively"},
+    {&S::activeGroups, "", "activeGroups", kGauge, "seer_active_groups",
+     "automaton groups currently in flight"},
+    {&S::activeIdentifierSets, "", "idsets", kGauge,
+     "seer_active_identifier_sets", "identifier sets currently tracked"},
+    {&S::linesSeen, "ingest", "lines", kCounter,
+     "seer_ingest_lines_total", "raw lines offered to feedLine"},
+    {&S::recordsDelivered, "", "delivered", kCounter,
+     "seer_ingest_records_delivered_total",
+     "records that reached the checker"},
+    {&S::malformedLines, "ingest", "malformed", kCounter,
+     "seer_ingest_malformed_total", "quarantined malformed lines"},
+    {&S::nonMonotonicClamped, "ingest", "clamped", kCounter,
+     "seer_ingest_clamped_total",
+     "non-monotonic timestamps seen by the guard"},
+    {&S::duplicatesSuppressed, "ingest", "duplicates", kCounter,
+     "seer_ingest_duplicates_suppressed_total",
+     "near-duplicate deliveries suppressed"},
+    {&S::forcedReleases, "ingest", "forced", kCounter,
+     "seer_ingest_forced_releases_total",
+     "reorder-buffer overflow force-outs"},
+    {&S::reorderBufferPeak, "ingest", "reorderPeak", kGauge,
+     "seer_reorder_buffer_peak", "largest reorder-buffer depth seen"},
+    {&S::memoryEvictions, "memory", "evictions", kCounter,
+     "seer_memory_evictions_total",
+     "groups evicted by the memory ceiling"},
+    {&S::internerCapRejected, "memory", "internerCapRejected", kCounter,
+     "seer_interner_cap_rejected_total",
+     "identifiers refused at the interner capacity"},
+    {&S::internerSize, "interner", "size", kGauge, "seer_interner_size",
+     "identifiers interned by this monitor"},
+    {&S::internerHits, "interner", "hits"},
+    {&S::internerMisses, "interner", "misses"},
+    {&S::timeoutResolutions, "timeoutPolicy", "resolutions", kCounter,
+     "seer_timeout_resolutions_total", "per-group timeout resolutions"},
+    {&S::timeoutDefaultFallbacks, "timeoutPolicy", "fallbacks", kCounter,
+     "seer_timeout_default_fallbacks_total",
+     "timeout resolutions that fell back to the default"},
+    {&S::feedP50us, "feedLatencyUs", "p50"},
+    {&S::feedP90us, "feedLatencyUs", "p90"},
+    {&S::feedP99us, "feedLatencyUs", "p99"},
+    {&S::feedMaxUs, "feedLatencyUs", "max"},
+    {&S::walAppendP50us, "walAppendUs", "p50"},
+    {&S::walAppendP99us, "walAppendUs", "p99"},
+};
+
+constexpr std::size_t kFieldCount = std::size(kHealthFields);
+
+// A counter samples a count: Counter::set takes no double.
+static_assert(std::none_of(
+    std::begin(kHealthFields), std::end(kHealthFields),
+    [](const HealthField &f) {
+        return f.exposure == kCounter && f.count == nullptr;
+    }));
+
+/** Slots of the retired sharded-engine fields that close every image:
+ *  an empty lane list and five zero counters. */
+constexpr std::size_t kRetiredSlots = 6;
+
+/** A health sample's checkpoint image: one 8-byte slot per field. */
+constexpr std::size_t kHealthSampleBytes =
+    (kFieldCount + kRetiredSlots) * 8;
+
+/** True for a section's first row: toJson writes the whole section
+ *  there, keeping its keys together where the image interleaves. */
+constexpr bool
+opensSection(std::size_t row)
+{
+    for (std::size_t i = 0; i < row; ++i) {
+        if (kHealthFields[i].section == kHealthFields[row].section)
+            return false;
+    }
+    return !kHealthFields[row].section.empty();
 }
+
+void
+appendField(std::ostringstream &out, const HealthField &field,
+            const HealthSample &sample)
+{
+    out << '"' << field.key << "\":";
+    if (field.count != nullptr)
+        out << sample.*field.count;
+    else
+        out << sample.*field.real;
+}
+
+/**
+ * Strict reader of one HEALTH line: an object of numbers and of
+ * sections of numbers with "kind":"HEALTH" among its members, no
+ * whitespace (toJson writes none) and nothing after it.
+ */
+class HealthReader
+{
+  public:
+    explicit HealthReader(std::string_view text) : rest(text) {}
+
+    bool
+    read(HealthSample &out)
+    {
+        bool kind = false;
+        bool ok = readObject([&](std::string_view name) {
+            if (name == "kind") {
+                std::string_view tag;
+                bool repeated = kind;
+                kind = true;
+                return !repeated && readName(tag) && tag == "HEALTH";
+            }
+            if (!rest.starts_with('{'))
+                return readField(out, "", name);
+            return readObject([&](std::string_view key) {
+                return readField(out, name, key);
+            });
+        });
+        return ok && kind && rest.empty();
+    }
+
+  private:
+    std::string_view rest;
+    std::bitset<kFieldCount> seen;
+
+    bool
+    take(char c)
+    {
+        if (!rest.starts_with(c))
+            return false;
+        rest.remove_prefix(1);
+        return true;
+    }
+
+    /** A non-empty quoted name (HEALTH names carry no escapes). */
+    bool
+    readName(std::string_view &name)
+    {
+        std::size_t end = rest.find('"', 1);
+        if (!take('"') || end == 1 || end == std::string_view::npos)
+            return false;
+        name = rest.substr(0, end - 1);
+        rest.remove_prefix(end);
+        return true;
+    }
+
+    /** `{"name":<member>,...}`; `member` reads each value. */
+    template <typename Member>
+    bool
+    readObject(Member &&member)
+    {
+        if (!take('{'))
+            return false;
+        if (take('}'))
+            return true;
+        do {
+            std::string_view name;
+            if (!readName(name) || !take(':') || !member(name))
+                return false;
+        } while (take(','));
+        return take('}');
+    }
+
+    /** The JSON number at the front of `rest`, or "" if none. */
+    std::string_view
+    numberToken()
+    {
+        std::size_t i = rest.starts_with('-') ? 1 : 0;
+        auto at = [&](std::string_view chars) {
+            return i < rest.size() &&
+                   chars.find(rest[i]) != std::string_view::npos;
+        };
+        auto digits = [&] {
+            std::size_t from = i;
+            while (at("0123456789"))
+                ++i;
+            return i > from;
+        };
+        if (at("0"))
+            ++i; // no leading zeros
+        else if (!digits())
+            return {};
+        // A fraction or exponent needs digits after its mark.
+        auto part = [&](std::string_view mark) {
+            if (!at(mark))
+                return true;
+            ++i;
+            if (mark == "eE" && at("+-"))
+                ++i;
+            return digits();
+        };
+        if (!part(".") || !part("eE"))
+            return {};
+        std::string_view token = rest.substr(0, i);
+        rest.remove_prefix(i);
+        return token;
+    }
+
+    bool
+    readField(HealthSample &out, std::string_view section,
+              std::string_view key)
+    {
+        std::string_view token = numberToken();
+        if (token.empty())
+            return false;
+        const HealthField *field = std::find_if(
+            std::begin(kHealthFields), std::end(kHealthFields),
+            [&](const HealthField &f) {
+                return f.section == section && f.key == key;
+            });
+        if (field == std::end(kHealthFields))
+            return true; // unknown key: ignored
+        std::size_t row = field - std::begin(kHealthFields);
+        if (seen.test(row))
+            return false;
+        seen.set(row);
+        // An unsigned from_chars takes digits only: a sign, fraction
+        // or exponent in a count leaves `ptr` short of the end.
+        const char *end = token.data() + token.size();
+        std::from_chars_result parsed =
+            field->count != nullptr
+                ? std::from_chars(token.data(), end, out.*field->count)
+                : std::from_chars(token.data(), end, out.*field->real);
+        return parsed.ec == std::errc() && parsed.ptr == end;
+    }
+};
 
 } // namespace
 
@@ -23,136 +324,60 @@ std::string
 HealthSample::toJson() const
 {
     std::ostringstream out;
-    out << "{\"kind\":\"HEALTH\",\"time\":" << formatNumber(time)
-        << ",\"messages\":" << messages
-        << ",\"delivered\":" << recordsDelivered
-        << ",\"activeGroups\":" << activeGroups
-        << ",\"idsets\":" << activeIdentifierSets
-        << ",\"decisive\":" << decisive
-        << ",\"ambiguous\":" << ambiguous
-        << ",\"recoveries\":{\"a\":" << recoveredPassUnknown
-        << ",\"b\":" << recoveredNewSequence
-        << ",\"c\":" << recoveredOtherSet
-        << ",\"d\":" << recoveredFalseDependency << "}"
-        << ",\"unmatched\":" << unmatched
-        << ",\"accepted\":" << accepted
-        << ",\"errors\":" << errorsReported
-        << ",\"timeouts\":" << timeoutsReported
-        << ",\"suppressed\":" << timeoutsSuppressed
-        << ",\"shed\":" << groupsShed
-        << ",\"consumeAttempts\":" << consumeAttempts
-        << ",\"decisiveFraction\":" << formatNumber(decisiveFraction)
-        << ",\"ingest\":{\"lines\":" << linesSeen
-        << ",\"malformed\":" << malformedLines
-        << ",\"clamped\":" << nonMonotonicClamped
-        << ",\"duplicates\":" << duplicatesSuppressed
-        << ",\"forced\":" << forcedReleases
-        << ",\"reorderPeak\":" << reorderBufferPeak << "}"
-        << ",\"memory\":{\"evictions\":" << memoryEvictions
-        << ",\"internerCapRejected\":" << internerCapRejected << "}"
-        << ",\"interner\":{\"size\":" << internerSize
-        << ",\"hits\":" << internerHits
-        << ",\"misses\":" << internerMisses << "}"
-        << ",\"timeoutPolicy\":{\"resolutions\":" << timeoutResolutions
-        << ",\"fallbacks\":" << timeoutDefaultFallbacks << "}"
-        << ",\"feedLatencyUs\":{\"p50\":" << formatNumber(feedP50us)
-        << ",\"p90\":" << formatNumber(feedP90us)
-        << ",\"p99\":" << formatNumber(feedP99us)
-        << ",\"max\":" << formatNumber(feedMaxUs) << "}"
-        << ",\"walAppendUs\":{\"p50\":" << formatNumber(walAppendP50us)
-        << ",\"p99\":" << formatNumber(walAppendP99us) << "}}";
+    out << "{\"kind\":\"HEALTH\"";
+    for (std::size_t i = 0; i < kFieldCount; ++i) {
+        const HealthField &field = kHealthFields[i];
+        if (field.section.empty()) {
+            out << ',';
+            appendField(out, field, *this);
+        } else if (opensSection(i)) {
+            out << ",\"" << field.section << "\":{";
+            const char *separator = "";
+            for (std::size_t j = i; j < kFieldCount; ++j) {
+                if (kHealthFields[j].section == field.section) {
+                    out << separator;
+                    appendField(out, kHealthFields[j], *this);
+                    separator = ",";
+                }
+            }
+            out << '}';
+        }
+    }
+    out << '}';
     return out.str();
+}
+
+std::optional<HealthSample>
+HealthSample::fromJson(std::string_view line)
+{
+    HealthSample sample;
+    if (!HealthReader(line).read(sample))
+        return std::nullopt;
+    return sample;
 }
 
 void
 HealthSample::saveState(common::BinWriter &out) const
 {
-    out.writeF64(time);
-    out.writeU64(messages);
-    out.writeU64(decisive);
-    out.writeU64(ambiguous);
-    out.writeU64(recoveredPassUnknown);
-    out.writeU64(recoveredNewSequence);
-    out.writeU64(recoveredOtherSet);
-    out.writeU64(recoveredFalseDependency);
-    out.writeU64(unmatched);
-    out.writeU64(accepted);
-    out.writeU64(errorsReported);
-    out.writeU64(timeoutsReported);
-    out.writeU64(timeoutsSuppressed);
-    out.writeU64(groupsShed);
-    out.writeU64(consumeAttempts);
-    out.writeF64(decisiveFraction);
-    out.writeU64(activeGroups);
-    out.writeU64(activeIdentifierSets);
-    out.writeU64(linesSeen);
-    out.writeU64(recordsDelivered);
-    out.writeU64(malformedLines);
-    out.writeU64(nonMonotonicClamped);
-    out.writeU64(duplicatesSuppressed);
-    out.writeU64(forcedReleases);
-    out.writeU64(reorderBufferPeak);
-    out.writeU64(memoryEvictions);
-    out.writeU64(internerCapRejected);
-    out.writeU64(internerSize);
-    out.writeU64(internerHits);
-    out.writeU64(internerMisses);
-    out.writeU64(timeoutResolutions);
-    out.writeU64(timeoutDefaultFallbacks);
-    out.writeF64(feedP50us);
-    out.writeF64(feedP90us);
-    out.writeF64(feedP99us);
-    out.writeF64(feedMaxUs);
-    out.writeF64(walAppendP50us);
-    out.writeF64(walAppendP99us);
-    // Slots of the retired sharded-engine fields: an empty lane list
-    // and five zero counters, so the checkpoint image is unchanged.
-    out.writeU64(0);
-    for (int i = 0; i < 5; ++i)
+    for (const HealthField &field : kHealthFields) {
+        if (field.count != nullptr)
+            out.writeU64(this->*field.count);
+        else
+            out.writeF64(this->*field.real);
+    }
+    for (std::size_t i = 0; i < kRetiredSlots; ++i)
         out.writeU64(0);
 }
 
 bool
 HealthSample::restoreState(common::BinReader &in)
 {
-    time = in.readF64();
-    messages = in.readU64();
-    decisive = in.readU64();
-    ambiguous = in.readU64();
-    recoveredPassUnknown = in.readU64();
-    recoveredNewSequence = in.readU64();
-    recoveredOtherSet = in.readU64();
-    recoveredFalseDependency = in.readU64();
-    unmatched = in.readU64();
-    accepted = in.readU64();
-    errorsReported = in.readU64();
-    timeoutsReported = in.readU64();
-    timeoutsSuppressed = in.readU64();
-    groupsShed = in.readU64();
-    consumeAttempts = in.readU64();
-    decisiveFraction = in.readF64();
-    activeGroups = in.readU64();
-    activeIdentifierSets = in.readU64();
-    linesSeen = in.readU64();
-    recordsDelivered = in.readU64();
-    malformedLines = in.readU64();
-    nonMonotonicClamped = in.readU64();
-    duplicatesSuppressed = in.readU64();
-    forcedReleases = in.readU64();
-    reorderBufferPeak = in.readU64();
-    memoryEvictions = in.readU64();
-    internerCapRejected = in.readU64();
-    internerSize = in.readU64();
-    internerHits = in.readU64();
-    internerMisses = in.readU64();
-    timeoutResolutions = in.readU64();
-    timeoutDefaultFallbacks = in.readU64();
-    feedP50us = in.readF64();
-    feedP90us = in.readF64();
-    feedP99us = in.readF64();
-    feedMaxUs = in.readF64();
-    walAppendP50us = in.readF64();
-    walAppendP99us = in.readF64();
+    for (const HealthField &field : kHealthFields) {
+        if (field.count != nullptr)
+            this->*field.count = in.readU64();
+        else
+            this->*field.real = in.readF64();
+    }
     // Retired sharded-engine slots (see saveState): images taken by
     // older sharded monitors carry six 8-byte fields per lane.
     std::uint64_t lane_count = in.readU64();
@@ -160,7 +385,8 @@ HealthSample::restoreState(common::BinReader &in)
         in.fail();
         return false;
     }
-    for (std::uint64_t i = 0; i < lane_count * 6 + 5; ++i)
+    for (std::uint64_t i = 0; i < lane_count * 6 + kRetiredSlots - 1;
+         ++i)
         in.readU64();
     return in.ok();
 }
@@ -268,78 +494,17 @@ Observability::updateRegistry(const HealthSample &s)
         registry.gauge(name, help).set(value);
     };
 
-    c("seer_messages_total", "messages the checker processed",
-      s.messages);
-    c("seer_decisive_total", "Algorithm 2 case-1 consumptions",
-      s.decisive);
-    c("seer_ambiguous_total", "Algorithm 2 case-2 forks", s.ambiguous);
-    c("seer_recovery_pass_unknown_total",
-      "recovery (a): unknown-template pass-throughs",
-      s.recoveredPassUnknown);
-    c("seer_recovery_new_sequence_total",
-      "recovery (b): new-sequence starts", s.recoveredNewSequence);
-    c("seer_recovery_other_set_total",
-      "recovery (c): re-routed to another identifier set",
-      s.recoveredOtherSet);
-    c("seer_recovery_false_dependency_total",
-      "recovery (d): false-dependency repairs",
-      s.recoveredFalseDependency);
-    c("seer_unmatched_total", "messages no recovery could place",
-      s.unmatched);
-    c("seer_accepted_total", "sequences accepted", s.accepted);
-    c("seer_errors_reported_total", "error-criterion reports",
-      s.errorsReported);
-    c("seer_timeouts_reported_total", "timeout-criterion reports",
-      s.timeoutsReported);
-    c("seer_timeouts_suppressed_total",
-      "timeouts pruned by lineage coverage", s.timeoutsSuppressed);
-    c("seer_groups_shed_total", "groups evicted under cap pressure",
-      s.groupsShed);
-    c("seer_consume_attempts_total", "group consumption probes",
-      s.consumeAttempts);
-
-    c("seer_ingest_lines_total", "raw lines offered to feedLine",
-      s.linesSeen);
-    c("seer_ingest_records_delivered_total",
-      "records that reached the checker", s.recordsDelivered);
-    c("seer_ingest_malformed_total", "quarantined malformed lines",
-      s.malformedLines);
-    c("seer_ingest_clamped_total",
-      "non-monotonic timestamps seen by the guard",
-      s.nonMonotonicClamped);
-    c("seer_ingest_duplicates_suppressed_total",
-      "near-duplicate deliveries suppressed", s.duplicatesSuppressed);
-    c("seer_ingest_forced_releases_total",
-      "reorder-buffer overflow force-outs", s.forcedReleases);
-    c("seer_memory_evictions_total",
-      "groups evicted by the memory ceiling", s.memoryEvictions);
-    c("seer_interner_cap_rejected_total",
-      "identifiers refused at the interner capacity",
-      s.internerCapRejected);
-    c("seer_timeout_resolutions_total",
-      "per-group timeout resolutions", s.timeoutResolutions);
-    c("seer_timeout_default_fallbacks_total",
-      "timeout resolutions that fell back to the default",
-      s.timeoutDefaultFallbacks);
-
-    g("seer_active_groups", "automaton groups currently in flight",
-      static_cast<double>(s.activeGroups));
-    g("seer_active_identifier_sets",
-      "identifier sets currently tracked",
-      static_cast<double>(s.activeIdentifierSets));
-    g("seer_reorder_buffer_peak", "largest reorder-buffer depth seen",
-      static_cast<double>(s.reorderBufferPeak));
-    g("seer_interner_size", "identifiers interned by this monitor",
-      static_cast<double>(s.internerSize));
-    double lookups =
-        static_cast<double>(s.internerHits + s.internerMisses);
+    for (const HealthField &field : kHealthFields) {
+        if (field.exposure == kCounter)
+            c(field.metric, field.help, s.*field.count);
+        else if (field.exposure == kGauge)
+            g(field.metric, field.help,
+              field.count ? static_cast<double>(s.*field.count)
+                          : s.*field.real);
+    }
     g("seer_interner_hit_rate",
       "fraction of intern lookups served from the table",
-      lookups > 0.0 ? static_cast<double>(s.internerHits) / lookups
-                    : 0.0);
-    g("seer_decisive_fraction",
-      "fraction of routed messages resolved decisively",
-      s.decisiveFraction);
+      s.internerHitRate());
     if (tracerPtr != nullptr) {
         c("seer_trace_spans_dropped_total",
           "closed spans dropped past the retention cap",

@@ -23,7 +23,9 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -68,8 +70,10 @@ struct ObsConfig
 };
 
 /**
- * One flattened health observation of a running monitor. Field names
- * mirror the stable metric catalog in DESIGN.md §11.
+ * One flattened health observation of a running monitor. Each field
+ * is described once, in the field table of observability.cpp: its
+ * HEALTH key, its checkpoint slot and its /metrics instrument
+ * (DESIGN.md §11).
  */
 struct HealthSample
 {
@@ -129,8 +133,24 @@ struct HealthSample
     double walAppendP50us = 0.0;
     double walAppendP99us = 0.0;
 
+    /** Fraction of interner lookups served from the table. */
+    double
+    internerHitRate() const
+    {
+        double lookups = static_cast<double>(internerHits + internerMisses);
+        return lookups > 0.0 ? static_cast<double>(internerHits) / lookups
+                             : 0.0;
+    }
+
     /** Single-line JSON rendering ({"kind":"HEALTH",...}). */
     std::string toJson() const;
+
+    /**
+     * Decode one HEALTH line as toJson writes it; nullopt for anything
+     * else (DESIGN.md §11). A missing field reads as 0 and an unknown
+     * key is ignored, so older and newer streams load.
+     */
+    static std::optional<HealthSample> fromJson(std::string_view line);
 
     /** Serialise every field (seer-vault, DESIGN.md §13). */
     void saveState(common::BinWriter &out) const;

@@ -229,8 +229,6 @@ struct PulseConfig
 
     /** Dedicated alert log (JSONL, appended); "" = off. */
     std::string alertLogPath;
-
-    bool enabledAny() const { return enabled; }
 };
 
 /**

@@ -99,12 +99,6 @@ class FaultInjector
     /** Ground truth of everything triggered so far. */
     const std::vector<InjectionRecord> &records() const { return history; }
 
-    /** Number of problems triggered so far. */
-    std::size_t triggeredCount() const { return history.size(); }
-
-    /** Point this injector is enabled for. */
-    InjectionPoint enabledPoint() const { return point; }
-
   private:
     InjectionPoint point = InjectionPoint::None;
     double triggerProbability = 0.0;

@@ -165,7 +165,6 @@ class Simulation
     void emitRecord(const FlowRun &run, const FlowStep &step,
                     logging::LogLevel level, std::string body);
     void emitNoise();
-    void scheduleNoise();
     const std::string &nodeNameFor(const FlowRun &run,
                                    NodeRole role) const;
 };

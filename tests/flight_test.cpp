@@ -539,55 +539,62 @@ TEST(FlightRecorderTest, NodeCapDropsRatherThanEvicts)
 {
     obs::FlightRecorderConfig config;
     config.perNodeCapacity = 2;
-    config.maxNodes = 1;
     obs::FlightRecorder recorder(config);
-    recorder.record("n1", 1.0, "kept");
-    recorder.record("n2", 2.0, "dropped");
+    for (std::size_t n = 0; n < obs::kFlightMaxNodes; ++n)
+        recorder.record("n" + std::to_string(n), 1.0, "kept");
+    recorder.record("late", 2.0, "dropped");
+    recorder.record("n0", 3.0, "kept too");
     EXPECT_EQ(recorder.droppedLines(), 1u);
-    ASSERT_EQ(recorder.context().size(), 1u);
-    EXPECT_EQ(recorder.context()[0].node, "n1");
+    std::vector<obs::ContextView> context = recorder.context();
+    ASSERT_EQ(context.size(), obs::kFlightMaxNodes + 1);
+    for (const obs::ContextView &line : context)
+        EXPECT_NE(line.node, "late");
+    EXPECT_EQ(context.back().line, "kept too");
 }
 
 TEST(FlightRecorderTest, BundleStoreIsBounded)
 {
     obs::FlightRecorderConfig config;
     config.perNodeCapacity = 1;
-    config.maxBundles = 2;
     obs::FlightRecorder recorder(config);
-    recorder.addBundle("{\"n\":1}");
-    recorder.addBundle("{\"n\":2}");
-    recorder.addBundle("{\"n\":3}");
-    ASSERT_EQ(recorder.bundles().size(), 2u);
-    EXPECT_EQ(recorder.bundles()[0], "{\"n\":2}");
+    auto bundle = [](std::size_t n) {
+        return "{\"n\":" + std::to_string(n) + "}";
+    };
+    std::string want;
+    for (std::size_t n = 1; n <= obs::kFlightMaxBundles + 1; ++n) {
+        recorder.addBundle(bundle(n));
+        if (n > 1)
+            want += bundle(n) + "\n";
+    }
+    ASSERT_EQ(recorder.bundles().size(), obs::kFlightMaxBundles);
+    EXPECT_EQ(recorder.bundles()[0], bundle(2));
     EXPECT_EQ(recorder.droppedBundles(), 1u);
-    EXPECT_EQ(recorder.bundleJsonLines(), "{\"n\":2}\n{\"n\":3}\n");
+    EXPECT_EQ(recorder.bundleJsonLines(), want);
 }
 
 TEST(FlightRecorderTest, BundleRingStaysOldestFirstAcrossWraps)
 {
     // The store is a ring: reads between adds, at every wrap offset,
-    // must still see the newest maxBundles oldest first.
+    // must still see the newest kFlightMaxBundles oldest first.
+    const std::size_t cap = obs::kFlightMaxBundles;
+    const std::size_t last = 3 * cap + 2;
     obs::FlightRecorderConfig config;
     config.perNodeCapacity = 1;
-    config.maxBundles = 3;
     obs::FlightRecorder recorder(config);
-    for (int n = 1; n <= 11; ++n) {
+    for (std::size_t n = 1; n <= last; ++n) {
         recorder.addBundle(std::to_string(n));
-        if (n % 2 == 0 && n < 11)
+        if (n % 2 == 0 && n < last)
             continue; // leave some wraps unread
         std::vector<std::string> want;
-        for (int k = std::max(1, n - 2); k <= n; ++k)
+        for (std::size_t k = n > cap ? n - cap + 1 : 1; k <= n; ++k)
             want.push_back(std::to_string(k));
         EXPECT_EQ(recorder.bundles(), want) << "after " << n;
     }
-    EXPECT_EQ(recorder.droppedBundles(), 8u);
-    EXPECT_EQ(recorder.bundleJsonLines(), "9\n10\n11\n");
-
-    config.maxBundles = 0;
-    obs::FlightRecorder none(config);
-    none.addBundle("{}");
-    EXPECT_TRUE(none.bundles().empty());
-    EXPECT_EQ(none.droppedBundles(), 1u);
+    EXPECT_EQ(recorder.droppedBundles(), last - cap);
+    std::string lines;
+    for (std::size_t k = last - cap + 1; k <= last; ++k)
+        lines += std::to_string(k) + "\n";
+    EXPECT_EQ(recorder.bundleJsonLines(), lines);
 }
 
 // --- Monitor wiring ------------------------------------------------
@@ -684,7 +691,6 @@ class FlightMonitorTest : public ::testing::Test
 TEST_F(FlightMonitorTest, UnconfiguredRecorderConstructsNothing)
 {
     auto monitor = makeMonitor();
-    EXPECT_FALSE(monitor->observabilityEnabled());
     EXPECT_EQ(monitor->observability(), nullptr);
     EXPECT_EQ(monitor->flightRecorder(), nullptr);
     monitor->feed(ping(1, 1.0));
@@ -695,7 +701,7 @@ TEST_F(FlightMonitorTest, UnconfiguredRecorderConstructsNothing)
 TEST_F(FlightMonitorTest, FlightAloneEnablesObservability)
 {
     auto monitor = makeMonitor(flightConfig());
-    EXPECT_TRUE(monitor->observabilityEnabled());
+    EXPECT_NE(monitor->observability(), nullptr);
     ASSERT_NE(monitor->flightRecorder(), nullptr);
     // Metrics and tracing stay off: their sinks remain empty.
     EXPECT_EQ(monitor->prometheusText(), "");

@@ -140,7 +140,6 @@ class BundleAllocation : public ::testing::Test
         core::MonitorConfig config;
         config.observability.flightRecorder.perNodeCapacity =
             flight_capacity;
-        config.observability.flightRecorder.maxBundles = 4;
         return std::make_unique<core::WorkflowMonitor>(config, catalog,
                                                        automata);
     }
@@ -195,16 +194,19 @@ TEST_F(BundleAllocation, CapturingOneBundleAllocatesAtMostOnce)
     // capturing bundles cost. Once the rings, the fragment cache, the
     // bundle store and the reservation are warm, that is nothing per
     // line and one allocation (the stored string) per bundle.
+    // The warm-up fills the bundle store and wraps it 36 times, so
+    // every measured bundle overwrites a stored one.
     auto bare = makeMonitor(0);
     auto flight = makeMonitor(8);
-    for (int k = 100; k < 140; ++k)
+    const int warm = static_cast<int>(obs::kFlightMaxBundles) + 36;
+    for (int k = 100; k < 100 + warm; ++k)
         for (const logging::LogRecord &r : round(k)) {
             bare->feed(r);
             flight->feed(r);
         }
 
     std::size_t bundles = 0;
-    for (int k = 140; k < 180; ++k) {
+    for (int k = 100 + warm; k < 140 + warm; ++k) {
         const std::vector<logging::LogRecord> records = round(k);
         for (const logging::LogRecord &r : records) {
             std::vector<core::MonitorReport> reports;

@@ -497,7 +497,6 @@ TEST_F(PulseMonitorTest, PulseOffByDefaultAndReportsIdentically)
 {
     core::MonitorConfig bare_config;
     core::WorkflowMonitor bare(bare_config, catalog, pingPong());
-    EXPECT_FALSE(bare.pulseEnabled());
     EXPECT_EQ(bare.pulse(), nullptr);
     EXPECT_EQ(bare.pulsePort(), -1);
     EXPECT_TRUE(bare.drainAlertJson().empty());
@@ -507,7 +506,7 @@ TEST_F(PulseMonitorTest, PulseOffByDefaultAndReportsIdentically)
     pulse_config.pulse.enabled = true;
     pulse_config.pulse.windowSeconds = 6.0;
     core::WorkflowMonitor pulsed(pulse_config, catalog, pingPong());
-    EXPECT_TRUE(pulsed.pulseEnabled());
+    EXPECT_NE(pulsed.pulse(), nullptr);
 
     // The identical stream through both monitors: reports and
     // checker counters must not see the pulse plane at all.

@@ -218,13 +218,15 @@ TEST(ReportJsonReference, ContextMatchesAcrossRecordsAndWraps)
     const std::vector<std::string> strings = stringCorpus();
     obs::FlightRecorderConfig config;
     config.perNodeCapacity = 5;
-    config.maxNodes = 4;
     obs::FlightRecorder recorder(config);
     reference::ContextRecorder shadow(config.perNodeCapacity,
-                                      config.maxNodes);
-    const std::vector<std::string> nodes = {"compute-1", "ctl\"\\",
-                                            "a\x01node", "<malformed>",
-                                            "dropped-5th"};
+                                      obs::kFlightMaxNodes);
+    // One node more than the recorder tracks: whichever arrives last
+    // is dropped.
+    std::vector<std::string> nodes = {"compute-1", "ctl\"\\",
+                                      "a\x01node", "<malformed>"};
+    while (nodes.size() <= obs::kFlightMaxNodes)
+        nodes.push_back("node-" + std::to_string(nodes.size()));
 
     std::mt19937_64 rng(11);
     std::size_t renders = 0;
@@ -251,7 +253,7 @@ TEST(ReportJsonReference, ContextMatchesAcrossRecordsAndWraps)
         ++renders;
     }
     EXPECT_GT(renders, 500u);
-    EXPECT_GT(recorder.droppedLines(), 0u); // the fifth node
+    EXPECT_GT(recorder.droppedLines(), 0u); // the node past the cap
 }
 
 TEST(ReportJsonReference, MonitorBundlesMatchOnPerturbedStreams)
@@ -274,7 +276,6 @@ TEST(ReportJsonReference, MonitorBundlesMatchOnPerturbedStreams)
     config.ingest = core::hardenedIngestDefaults();
     config.ingest.maxActiveGroups = 6;
     config.observability.flightRecorder.perNodeCapacity = 32;
-    config.observability.flightRecorder.maxBundles = 40;
     config.latencyProfiles =
         eval::mineSystemProfiles(system, eval::LatencyMiningConfig{});
     config.latencyCheck.quantile = 50;
@@ -289,7 +290,7 @@ TEST(ReportJsonReference, MonitorBundlesMatchOnPerturbedStreams)
             12));
         workload::WorkloadConfig workload;
         workload.users = 3;
-        workload.tasksPerUser = 20;
+        workload.tasksPerUser = 160; // ~345 bundles: the store wraps
         workload.seed = seed;
         workload::WorkloadGenerator(workload).submitAll(simulation);
         simulation.run();
@@ -312,7 +313,7 @@ TEST(ReportJsonReference, MonitorBundlesMatchOnPerturbedStreams)
                                       system.automataCopy());
         reference::ContextRecorder shadow(
             config.observability.flightRecorder.perNodeCapacity,
-            config.observability.flightRecorder.maxNodes);
+            obs::kFlightMaxNodes);
         std::vector<std::string> want_bundles;
         std::map<core::CheckEventKind, std::size_t> reasons;
 
@@ -329,12 +330,11 @@ TEST(ReportJsonReference, MonitorBundlesMatchOnPerturbedStreams)
                     report, *system.catalog, monitor.interner(),
                     shadow.context()));
             }
-            // The retained bundles are the newest maxBundles.
+            // The retained bundles are the newest kFlightMaxBundles.
             const std::vector<std::string> &got =
                 monitor.flightRecorder()->bundles();
             std::size_t keep = std::min<std::size_t>(
-                want_bundles.size(),
-                config.observability.flightRecorder.maxBundles);
+                want_bundles.size(), obs::kFlightMaxBundles);
             ASSERT_EQ(got.size(), keep);
             for (std::size_t k = 0; k < keep; ++k)
                 ASSERT_EQ(got[k], want_bundles[want_bundles.size() - keep + k])

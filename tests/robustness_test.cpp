@@ -76,22 +76,6 @@ TEST(Robustness, AcceptanceRateHoldsOverLongRuns)
               0.97);
 }
 
-TEST(Robustness, ZombieAbsorptionOffStillTerminates)
-{
-    eval::DatasetConfig config;
-    config.users = 3;
-    config.tasksPerUser = 30;
-    config.seed = 79;
-    core::MonitorConfig monitor_config;
-    monitor_config.checker.zombieAbsorption = false;
-    eval::DatasetResult result =
-        eval::runDataset(models(), config, monitor_config);
-    // Clean input: acceptance must still be near-perfect.
-    EXPECT_GE(static_cast<double>(result.acceptedCorrect) /
-                  static_cast<double>(result.totalTasks),
-              0.95);
-}
-
 TEST(Robustness, NumbersAsIdentifiersModeWorks)
 {
     // Counting bare numbers as identifiers is noisier but must not

@@ -169,7 +169,6 @@ TEST(RoutingIndex, PostingsAcrossZombieTransitionAndExpiry)
     LetterCatalog letters;
     TaskAutomaton boot = bootAutomaton(letters);
     CheckerConfig config;
-    config.zombieAbsorption = true;
     InterleavedChecker checker(config, {&boot});
 
     checker.feed(makeMessage(letters, "A", {"seq-z"}, 1, 0.0));

@@ -470,6 +470,33 @@ TEST(PulseTool, ReplayRehearsesAlertsOverRecordedHealth)
               std::string::npos);
 }
 
+TEST(PulseTool, ReplaySkipsUndecodableHealthLinesWithDiagnostic)
+{
+    // A HEALTH line cut short mid-write and one with a non-numeric
+    // value ahead of an intact stream: both are named and skipped,
+    // the rest replays as before.
+    ToolDir dir("pulse_replay_skip");
+    std::string path = dir.file("health.jsonl");
+    std::string lines = makeHealthLines();
+    std::ofstream(path) << lines.substr(0, lines.find('\n') / 2) << "\n"
+                        << "{\"kind\":\"HEALTH\",\"messages\":\"many\"}\n"
+                        << lines;
+
+    RunResult result = run(std::string(SEER_PULSE_BIN) + " replay " + path);
+    EXPECT_EQ(result.status, 0) << result.output;
+    EXPECT_NE(result.output.find("seer-pulse: line 1 is not a complete "
+                                 "HEALTH record; skipping"),
+              std::string::npos)
+        << result.output;
+    EXPECT_NE(result.output.find("seer-pulse: line 2 is not a complete "
+                                 "HEALTH record; skipping"),
+              std::string::npos)
+        << result.output;
+    EXPECT_NE(result.output.find("replayed 3 snapshots, 2 alert"),
+              std::string::npos)
+        << result.output;
+}
+
 TEST(PulseTool, ScrapeDiagnosesBadAndUnreachableEndpoints)
 {
     const std::string bin = SEER_PULSE_BIN;
@@ -619,6 +646,43 @@ TEST(StatsTool, FollowSurfacesAlertsAndHonorsPollLimit)
     EXPECT_NE(result.output.find("ALERT firing"), std::string::npos)
         << result.output;
     EXPECT_NE(result.output.find("shed_burn"), std::string::npos);
+}
+
+TEST(StatsTool, UndecodableHealthLinesAreSkippedWithDiagnostic)
+{
+    ToolDir dir("stats_skip");
+    std::string path = dir.file("stream.jsonl");
+    std::string lines = makeHealthLines();
+    std::ofstream(path) << lines.substr(0, lines.find('\n') / 2) << "\n"
+                        << "{\"kind\":\"HEALTH\",\"messages\":\"many\"}\n"
+                        << lines;
+    const std::string bin = SEER_STATS_BIN;
+    for (const std::string &mode :
+         {std::string(""), std::string("--last "),
+          std::string("--follow --poll-limit 1 ")}) {
+        RunResult result = run(bin + " " + mode + path);
+        EXPECT_EQ(result.status, 0) << mode << result.output;
+        EXPECT_NE(result.output.find("seer-stats: line 1 is not a "
+                                     "complete HEALTH record; skipping"),
+                  std::string::npos)
+            << mode << result.output;
+        EXPECT_NE(result.output.find("seer-stats: line 2 is not a "
+                                     "complete HEALTH record; skipping"),
+                  std::string::npos)
+            << mode << result.output;
+        EXPECT_NE(result.output.find("100.0"), std::string::npos)
+            << mode << result.output; // the final intact snapshot
+    }
+
+    // Nothing decodable is a diagnosed failure, as with no HEALTH.
+    std::string broken = dir.file("broken.jsonl");
+    std::ofstream(broken) << lines.substr(0, lines.find('\n') / 2)
+                          << "\n";
+    RunResult refused = run(bin + " " + broken);
+    EXPECT_EQ(refused.status, 1) << refused.output;
+    EXPECT_NE(refused.output.find("no HEALTH records found"),
+              std::string::npos)
+        << refused.output;
 }
 
 // --- idle-stream warnings (seer_stats --follow, seer_pulse watch) -----

@@ -18,7 +18,9 @@
  * engines over a recorded health-snapshot stream (the JSONL the
  * monitor writes) and prints the ALERT records a live run with those
  * rules would have emitted — rule packs can be rehearsed against
- * yesterday's incident before they page anyone.
+ * yesterday's incident before they page anyone. Each HEALTH line is
+ * read by HealthSample::fromJson; one that does not decode is skipped
+ * with a diagnostic on stderr.
  */
 
 #include <chrono>
@@ -26,12 +28,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/http_server.hpp"
+#include "obs/observability.hpp"
 #include "obs/pulse.hpp"
 
 namespace {
@@ -203,52 +207,6 @@ cmdRulesCheck(const std::vector<std::string> &args)
     return 0;
 }
 
-// --- replay: HEALTH JSONL → HealthSample → alert engine ---------------
-
-/** Numeric value after `"key":` at or past `from` (0 when absent). */
-double
-numberValue(const std::string &line, const std::string &key,
-            std::size_t from = 0)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t at = line.find(needle, from);
-    if (at == std::string::npos)
-        return 0.0;
-    return std::atof(line.c_str() + at + needle.size());
-}
-
-/**
- * Rehydrate the HealthSample fields the rate engine consumes from one
- * {"kind":"HEALTH"} line (HealthSample::toJson key layout).
- */
-obs::HealthSample
-sampleFromJson(const std::string &line)
-{
-    auto u64 = [&](const char *key, std::size_t from = 0) {
-        return static_cast<std::uint64_t>(numberValue(line, key, from));
-    };
-    obs::HealthSample s;
-    s.time = numberValue(line, "time");
-    s.messages = u64("messages");
-    std::size_t rec = line.find("\"recoveries\":{");
-    s.recoveredPassUnknown = u64("a", rec);
-    s.recoveredOtherSet = u64("c", rec);
-    s.recoveredFalseDependency = u64("d", rec);
-    s.errorsReported = u64("errors");
-    s.timeoutsReported = u64("timeouts");
-    s.groupsShed = u64("shed");
-    std::size_t ing = line.find("\"ingest\":{");
-    s.forcedReleases = u64("forced", ing);
-    std::size_t mem = line.find("\"memory\":{");
-    s.memoryEvictions = u64("evictions", mem);
-    s.internerCapRejected = u64("internerCapRejected", mem);
-    std::size_t feed = line.find("\"feedLatencyUs\":{");
-    s.feedP99us = numberValue(line, "p99", feed);
-    std::size_t wal = line.find("\"walAppendUs\":{");
-    s.walAppendP99us = numberValue(line, "p99", wal);
-    return s;
-}
-
 int
 cmdReplay(const std::vector<std::string> &args)
 {
@@ -290,13 +248,22 @@ cmdReplay(const std::vector<std::string> &args)
 
     obs::PulseEngine engine(config);
     std::string line;
+    std::size_t lineNumber = 0;
     std::size_t snapshots = 0;
     std::size_t alerts = 0;
     while (std::getline(in, line)) {
+        ++lineNumber;
         if (line.find("\"kind\":\"HEALTH\"") == std::string::npos)
             continue;
+        std::optional<obs::HealthSample> sample =
+            obs::HealthSample::fromJson(line);
+        if (!sample) {
+            std::cerr << "seer-pulse: line " << lineNumber
+                      << " is not a complete HEALTH record; skipping\n";
+            continue;
+        }
         ++snapshots;
-        engine.observe(sampleFromJson(line));
+        engine.observe(*sample);
         for (const std::string &alert : engine.drainAlertLines()) {
             ++alerts;
             std::printf("%s\n", alert.c_str());

@@ -11,9 +11,11 @@
  *     seer-stats --follow health.jsonl   # tail the file as it grows
  *     seer-stats --summary report.jsonl  # final {"kind":"SUMMARY"}
  *
- * The first three modes read HEALTH snapshots (the table and --follow
- * views also surface seer-pulse {"kind":"ALERT"} records interleaved
- * where the stream carries them) and skip everything else; --summary
+ * The first three modes read HEALTH snapshots through
+ * HealthSample::fromJson, skipping with a diagnostic on stderr any
+ * HEALTH line that does not decode (the table and --follow views
+ * also surface seer-pulse {"kind":"ALERT"} records interleaved where
+ * the stream carries them) and skip everything else; --summary
  * reads the trailing checker+ingest SUMMARY record a wire_replay /
  * monitor_cloud report stream closes with, so those runs are
  * self-describing without a debugger. Reads stdin when no file is
@@ -33,18 +35,24 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
+
+#include "obs/observability.hpp"
 
 namespace {
 
+using cloudseer::obs::HealthSample;
+
 /**
  * Extract the value after `"key":` at or past `from`, as raw text up
- * to the next delimiter. Returns "" when absent. The health schema is
- * flat numbers inside at most one level of nesting, so substring
- * search keyed on the quoted name is unambiguous.
+ * to the next delimiter. Returns "" when absent. The SUMMARY and ALERT
+ * schemas are flat numbers inside at most one level of nesting, so
+ * substring search keyed on the quoted name is unambiguous.
  */
 std::string
 rawValue(const std::string &line, const std::string &key,
@@ -86,6 +94,18 @@ bool
 isHealthLine(const std::string &line)
 {
     return line.find("\"kind\":\"HEALTH\"") != std::string::npos;
+}
+
+/** Decode one HEALTH line, or say on stderr why it is skipped. */
+std::optional<HealthSample>
+decodeHealth(const std::string &line, std::size_t line_number)
+{
+    std::optional<HealthSample> sample = HealthSample::fromJson(line);
+    if (!sample) {
+        std::cerr << "seer-stats: line " << line_number
+                  << " is not a complete HEALTH record; skipping\n";
+    }
+    return sample;
 }
 
 bool
@@ -181,72 +201,61 @@ printHeader()
 }
 
 void
-printRow(const std::string &line)
+printRow(const HealthSample &s)
 {
     std::printf("%10.2f %10.0f %8.0f %8.0f %8.1f%% %7.0f %7.0f %6.0f "
                 "%9.1f\n",
-                numberValue(line, "time"),
-                numberValue(line, "messages"),
-                numberValue(line, "activeGroups"),
-                numberValue(line, "idsets"),
-                numberValue(line, "decisiveFraction") * 100.0,
-                numberValue(line, "errors"),
-                numberValue(line, "timeouts"),
-                numberValue(line, "shed"),
-                numberValue(line, "p99",
-                            sectionStart(line, "feedLatencyUs")));
+                s.time, static_cast<double>(s.messages),
+                static_cast<double>(s.activeGroups),
+                static_cast<double>(s.activeIdentifierSets),
+                s.decisiveFraction * 100.0,
+                static_cast<double>(s.errorsReported),
+                static_cast<double>(s.timeoutsReported),
+                static_cast<double>(s.groupsShed), s.feedP99us);
 }
 
 void
-printDetail(const std::string &line)
+printDetail(const HealthSample &s)
 {
     auto row = [](const char *label, double value) {
         std::printf("  %-28s %.6g\n", label, value);
     };
-    std::printf("health snapshot @ t=%.3f\n", numberValue(line, "time"));
+    std::printf("health snapshot @ t=%.3f\n", s.time);
     std::printf("checker:\n");
-    row("messages", numberValue(line, "messages"));
-    row("decisive", numberValue(line, "decisive"));
-    row("ambiguous", numberValue(line, "ambiguous"));
-    std::size_t rec = sectionStart(line, "recoveries");
-    row("recovery a (pass unknown)", numberValue(line, "a", rec));
-    row("recovery b (new sequence)", numberValue(line, "b", rec));
-    row("recovery c (other set)", numberValue(line, "c", rec));
-    row("recovery d (false dep)", numberValue(line, "d", rec));
-    row("unmatched", numberValue(line, "unmatched"));
-    row("accepted", numberValue(line, "accepted"));
-    row("errors reported", numberValue(line, "errors"));
-    row("timeouts reported", numberValue(line, "timeouts"));
-    row("timeouts suppressed", numberValue(line, "suppressed"));
-    row("groups shed", numberValue(line, "shed"));
-    row("decisive fraction",
-        numberValue(line, "decisiveFraction"));
-    row("active groups", numberValue(line, "activeGroups"));
-    row("identifier sets", numberValue(line, "idsets"));
+    row("messages", s.messages);
+    row("decisive", s.decisive);
+    row("ambiguous", s.ambiguous);
+    row("recovery a (pass unknown)", s.recoveredPassUnknown);
+    row("recovery b (new sequence)", s.recoveredNewSequence);
+    row("recovery c (other set)", s.recoveredOtherSet);
+    row("recovery d (false dep)", s.recoveredFalseDependency);
+    row("unmatched", s.unmatched);
+    row("accepted", s.accepted);
+    row("errors reported", s.errorsReported);
+    row("timeouts reported", s.timeoutsReported);
+    row("timeouts suppressed", s.timeoutsSuppressed);
+    row("groups shed", s.groupsShed);
+    row("decisive fraction", s.decisiveFraction);
+    row("active groups", s.activeGroups);
+    row("identifier sets", s.activeIdentifierSets);
     std::printf("ingest:\n");
-    std::size_t ing = sectionStart(line, "ingest");
-    row("lines", numberValue(line, "lines", ing));
-    row("malformed", numberValue(line, "malformed", ing));
-    row("clamped", numberValue(line, "clamped", ing));
-    row("duplicates suppressed", numberValue(line, "duplicates", ing));
-    row("forced releases", numberValue(line, "forced", ing));
-    row("reorder-buffer peak", numberValue(line, "reorderPeak", ing));
+    row("lines", s.linesSeen);
+    row("malformed", s.malformedLines);
+    row("clamped", s.nonMonotonicClamped);
+    row("duplicates suppressed", s.duplicatesSuppressed);
+    row("forced releases", s.forcedReleases);
+    row("reorder-buffer peak", s.reorderBufferPeak);
     std::printf("interner:\n");
-    std::size_t intr = sectionStart(line, "interner");
-    double hits = numberValue(line, "hits", intr);
-    double misses = numberValue(line, "misses", intr);
-    row("size", numberValue(line, "size", intr));
-    row("hit rate", hits + misses > 0.0 ? hits / (hits + misses) : 0.0);
+    row("size", s.internerSize);
+    row("hit rate", s.internerHitRate());
     std::printf("timeout policy:\n");
-    std::size_t pol = sectionStart(line, "timeoutPolicy");
-    row("resolutions", numberValue(line, "resolutions", pol));
-    row("default fallbacks", numberValue(line, "fallbacks", pol));
+    row("resolutions", s.timeoutResolutions);
+    row("default fallbacks", s.timeoutDefaultFallbacks);
     std::printf("feed latency (us):\n");
-    std::size_t lat = sectionStart(line, "feedLatencyUs");
-    row("p50", numberValue(line, "p50", lat));
-    row("p90", numberValue(line, "p90", lat));
-    row("p99", numberValue(line, "p99", lat));
-    row("max", numberValue(line, "max", lat));
+    row("p50", s.feedP50us);
+    row("p90", s.feedP90us);
+    row("p99", s.feedP99us);
+    row("max", s.feedMaxUs);
 }
 
 int
@@ -285,18 +294,23 @@ follow(const std::string &path, long poll_limit)
     }
     printHeader();
     std::string line;
+    std::size_t line_number = 0;
     std::streamoff consumed = 0;
     while (true) {
         if (std::getline(in, line)) {
+            ++line_number;
             std::streamoff at = in.tellg();
             if (at >= 0)
                 consumed = at;
             idle_polls = 0;
             warned_idle = false;
-            if (isHealthLine(line))
-                printRow(line);
-            else if (isAlertLine(line))
+            if (isHealthLine(line)) {
+                if (std::optional<HealthSample> sample =
+                        decodeHealth(line, line_number))
+                    printRow(*sample);
+            } else if (isAlertLine(line)) {
                 printAlert(line);
+            }
             continue;
         }
         if (!in.eof())
@@ -342,6 +356,7 @@ follow(const std::string &path, long poll_limit)
             inode = st.st_ino;
             device = st.st_dev;
             consumed = 0;
+            line_number = 0;
             std::cerr << "seer-stats: " << path
                       << (rotated ? " rotated" : " truncated")
                       << "; following the new contents\n";
@@ -402,34 +417,35 @@ main(int argc, char **argv)
     // The table view interleaves ALERT records where the stream
     // carries them; every other mode keys off HEALTH/SUMMARY only.
     const bool tableMode = !summaryMode && !lastOnly;
-    std::vector<std::string> samples;
+    std::vector<std::variant<HealthSample, std::string>> records;
     std::string line;
-    while (std::getline(*in, line)) {
+    for (std::size_t number = 1; std::getline(*in, line); ++number) {
         if (summaryMode ? isSummaryLine(line)
-                        : (isHealthLine(line) ||
-                           (tableMode && isAlertLine(line)))) {
-            samples.push_back(line);
+                        : tableMode && isAlertLine(line)) {
+            records.emplace_back(line);
+        } else if (!summaryMode && isHealthLine(line)) {
+            if (std::optional<HealthSample> sample =
+                    decodeHealth(line, number))
+                records.emplace_back(*sample);
         }
     }
-    if (samples.empty()) {
+    if (records.empty()) {
         std::cerr << "seer-stats: no "
                   << (summaryMode ? "SUMMARY" : "HEALTH")
                   << " records found\n";
         return 1;
     }
     if (summaryMode) {
-        printSummary(samples.back());
-        return 0;
-    }
-    if (lastOnly) {
-        printDetail(samples.back());
+        printSummary(std::get<std::string>(records.back()));
+    } else if (lastOnly) {
+        printDetail(std::get<HealthSample>(records.back()));
     } else {
         printHeader();
-        for (const std::string &sample : samples) {
-            if (isAlertLine(sample))
-                printAlert(sample);
+        for (const auto &record : records) {
+            if (const auto *sample = std::get_if<HealthSample>(&record))
+                printRow(*sample);
             else
-                printRow(sample);
+                printAlert(std::get<std::string>(record));
         }
     }
     return 0;
